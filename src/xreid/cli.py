@@ -75,13 +75,17 @@ def cmd_generate(config: ExperimentConfig) -> Path:
     return out
 
 
+def _manifest_path(dataset_dir: Path) -> Path:
+    path = dataset_dir / "manifest.json"
+    if not path.exists():
+        raise CliError(f"no dataset manifest at {path}; run generate first")
+    return path
+
+
 def load_dataset(dataset_dir) -> tuple[DescriptorSet, DescriptorSet]:
     """Load a generated dataset, refusing on any checksum mismatch."""
     dataset_dir = Path(dataset_dir)
-    manifest_path = dataset_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise CliError(f"no dataset manifest at {manifest_path}; run generate first")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    with open(_manifest_path(dataset_dir), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("version") != MANIFEST_VERSION:
         raise CliError(f"unsupported manifest version {manifest.get('version')}")
@@ -158,14 +162,22 @@ def cmd_eval(config: ExperimentConfig, data_dir=None, checkpoint=None) -> EvalRe
 
 
 def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> list[tuple]:
-    """Train + eval once per margin value against one shared dataset."""
+    """Train + eval once per margin value against one shared dataset.
+
+    Without ``data_dir`` the dataset is ``<output.dir>/dataset``, generated
+    there if missing; a given ``data_dir`` must already hold a dataset.
+    """
     rhos = list(rho_values)
     if len(rhos) < 2:
         raise CliError(f"sweep needs at least 2 margin values, got {len(rhos)}")
     root = Path(config.output_dir)
-    data_dir = Path(data_dir) if data_dir else root / "dataset"
-    if not (data_dir / "manifest.json").exists():
-        cmd_generate(config)
+    if data_dir:
+        data_dir = Path(data_dir)
+        _manifest_path(data_dir)
+    else:
+        data_dir = root / "dataset"
+        if not (data_dir / "manifest.json").exists():
+            cmd_generate(config)
 
     rows = []
     for rho in rhos:

@@ -130,8 +130,15 @@ def evaluate(
 
 
 def similarity_stats(test: FeatureSet) -> SimilarityStats:
-    """Gaussian fit of intra- vs inter-identity centroid cosine similarities."""
+    """Gaussian fit of intra- vs inter-identity centroid cosine similarities.
+
+    Inter-identity pairs need at least 2 identities; fewer raise ValueError.
+    """
     ids = np.unique(test.identities)
+    if len(ids) < 2:
+        raise ValueError(
+            f"similarity stats need features of >= 2 identities to compare, got {len(ids)}"
+        )
     dim = test.features.shape[1]
     cv = np.empty((len(ids), dim))
     ct = np.empty((len(ids), dim))

@@ -5,6 +5,11 @@ kernel k(x, y) = exp(-||x - y||^2 / (2 sigma^2)), optionally averaged over a
 mixture of bandwidth scales with uniform weights. The feature map is never
 materialized; only kernel values are.
 
+Kernels are evaluated on squared distances computed beforehand: one (N, M)
+matrix, or a (C, L, L) stack of blocks with one bandwidth row per block, as
+the MMD losses use. ``mixture_kernel_matrix`` can also return the weight
+matrix A of the analytic feature gradient from the same evaluation.
+
 Bandwidth is either fixed or chosen by the median heuristic (median of all
 pairwise squared distances over the data at hand). The heuristic is treated
 as a constant by every gradient computation in this library: no gradient
@@ -48,9 +53,10 @@ class KernelSpec:
     def is_median_heuristic(self) -> bool:
         return self.sigma_squared is None
 
-    def bandwidths(self, base: float) -> np.ndarray:
-        """Per-scale bandwidths sigma_s^2 = scale_s * base."""
-        return np.asarray(self.mixture_scales) * base
+    def bandwidths(self, base) -> np.ndarray:
+        """Per-scale bandwidths sigma_s^2 = scale_s * base, on the last axis;
+        an array of bases gives one row per base."""
+        return np.multiply.outer(base, self.mixture_scales)
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,14 @@ def _as_matrix(xs, name: str) -> np.ndarray:
 
 
 def squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows, clipped at 0."""
-    xx = np.sum(xs * xs, axis=1)[:, None]
-    yy = np.sum(ys * ys, axis=1)[None, :]
-    d2 = xx + yy - 2.0 * xs @ ys.T
+    """Pairwise squared Euclidean distances between rows, clipped at 0.
+
+    Leading axes stack independent blocks: (C, N, D) and (C, M, D) inputs
+    give (C, N, M) distances.
+    """
+    xx = np.einsum("...d,...d->...", xs, xs)[..., :, None]
+    yy = np.einsum("...d,...d->...", ys, ys)[..., None, :]
+    d2 = xx + yy - 2.0 * xs @ np.swapaxes(ys, -1, -2)
     return np.maximum(d2, 0.0)
 
 
@@ -109,27 +119,42 @@ def median_heuristic_bandwidth(features) -> float:
     n = xs.shape[0]
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 vectors, got {n}")
-    d2 = squared_distances(xs, xs)
-    pairs = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(pairs))
-    return med if med > 0 else 1.0
+    return float(resolve_bandwidth(KernelSpec(), squared_distances(xs, xs)[None])[0])
 
 
-def resolve_bandwidth(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray | None = None) -> float:
-    """Base bandwidth for this call: the fixed value, or the median heuristic
-    over the union of the inputs."""
+def resolve_bandwidth(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+    """Base bandwidth of each block of a (C, L, L) squared-distance stack: the
+    fixed value, or the median heuristic over the block's distinct pairs
+    (upper triangle), leaving out pairs at infinite distance (padding)."""
+    blocks = len(d2)
     if not spec.is_median_heuristic:
-        return float(spec.sigma_squared)
-    union = xs if ys is None else np.vstack([xs, ys])
-    return median_heuristic_bandwidth(union)
+        return np.full(blocks, float(spec.sigma_squared))
+    upper = np.flatnonzero(~np.tri(d2.shape[-1], dtype=bool))
+    pairs = d2.reshape(blocks, -1).take(upper, axis=1)
+    count = np.isfinite(pairs).sum(axis=1)
+    lo, hi = (count - 1) // 2, count // 2
+    pairs = np.partition(pairs, np.concatenate([lo, hi]), axis=1)
+    med = 0.5 * (pairs[np.arange(blocks), lo] + pairs[np.arange(blocks), hi])
+    return np.where(med > 0, med, 1.0)
 
 
-def mixture_kernel_matrix(d2: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
-    """Uniform mixture of RBF kernels over precomputed squared distances."""
-    out = np.zeros_like(d2)
-    for s2 in bandwidths:
-        out += np.exp(-d2 / (2.0 * s2))
-    return out / len(bandwidths)
+def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False):
+    """Uniform mixture of RBF kernels over precomputed squared distances.
+
+    ``bandwidths`` holds sigma_s^2 on its last axis: shape (S,) for one
+    matrix, (C, S) for a (C, N, M) stack. With ``grad_weights`` the result
+    is ``(K, A)``, where A = (1/S) sum_s K_s / sigma_s^2 is the weight of the
+    analytic gradient d k(x, y) / dx = A (y - x).
+    """
+    s2 = np.asarray(bandwidths, dtype=np.float64)[..., None, None]
+    # -d2 / (2 s2) == (-0.5 d2) / s2 exactly, since halving is exact
+    per_scale = np.expand_dims(d2 * -0.5, -3) / s2
+    np.exp(per_scale, out=per_scale)
+    k = np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
+    if not grad_weights:
+        return k
+    per_scale /= s2
+    return k, np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
 
 
 def gram(xs, ys, spec: KernelSpec) -> GramMatrix:
@@ -142,9 +167,11 @@ def gram(xs, ys, spec: KernelSpec) -> GramMatrix:
     ys = _as_matrix(ys, "ys")
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"dimension mismatch: xs has {xs.shape[1]}, ys has {ys.shape[1]}")
-    base = resolve_bandwidth(spec, xs, ys)
-    d2 = squared_distances(xs, ys)
-    return GramMatrix(mixture_kernel_matrix(d2, spec.bandwidths(base)))
+    if spec.is_median_heuristic:
+        base = median_heuristic_bandwidth(np.vstack([xs, ys]))
+    else:
+        base = spec.sigma_squared
+    return GramMatrix(mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base)))
 
 
 __all__ = [

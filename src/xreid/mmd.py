@@ -2,8 +2,8 @@
 
 MMD^2 between two samples is estimated either with the biased V-statistic
 (full double sums, diagonal included; nonnegative) or the unbiased
-U-statistic (diagonal excluded; may be negative). On top of the estimators
-sit three losses over a labeled feature batch:
+U-statistic (diagonal excluded; may be negative, and is never clamped). On
+top of the estimators sit three losses over a labeled feature batch:
 
 * marginal: MMD^2 between all visible and all thermal features;
 * class-conditional: the average of per-identity MMD^2 values;
@@ -11,11 +11,15 @@ sit three losses over a labeled feature batch:
   full MMD^2 through while it exceeds the margin rho and contributes exactly
   zero (value and gradient) once it does not.
 
-All gradients with respect to the input features are analytic, derived from
-d k(x,y)/dx = k(x,y) (y-x)/sigma^2 summed over mixture scales. Median
-heuristic bandwidths are treated as constants by the gradients; for the
-class-conditional losses the heuristic is evaluated per class on that
-class's union of modalities.
+All five go through one engine: rows are gathered into padded (group, slot)
+blocks, one group per identity or a single group, visible slots first. One
+``squared_distances`` call gives every group's distance block, one
+``resolve_bandwidth`` call every group's base bandwidth (median heuristic
+over its union of modalities), and one kernel evaluation the xx, xy and yy
+sub-blocks of all groups. A term sum_ij W_ij k(x_i, x_j) has the analytic
+gradient 2[(W∘A)X - X·rowsum(W∘A)], from d k(x,y)/dx = A(x,y) (y - x); the
+per-group weights W carry the estimator, the group average and the gate.
+Median-heuristic bandwidths are constants to the gradients.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import counters
 from .data import THERMAL, VISIBLE, FeatureSet
-from .kernels import KernelSpec, resolve_bandwidth, squared_distances
+from .kernels import KernelSpec, mixture_kernel_matrix, resolve_bandwidth, squared_distances
 
 _ESTIMATORS = ("biased", "unbiased")
 
@@ -80,95 +84,89 @@ class MarginMmdResult:
     class_mmd2: np.ndarray
 
 
-def _check_sets(xs, ys, estimator: str) -> tuple[np.ndarray, np.ndarray]:
+def _engine(x, modalities, groups, ids, spec: KernelSpec, estimator: str, rho=None):
+    """MMD^2 of each group of rows (``groups`` indexes ``ids``, or is all 0
+    when ``ids`` is None), and the value and gradient of the group average
+    over the groups whose MMD^2 exceeds ``rho`` (all when None). Returns
+    ((mmd2, same_x, same_y, cross), active, value, grad)."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if ys.ndim == 1:
-        ys = ys[None, :]
+    n_groups = 1 if ids is None else len(ids)
+    cell = 2 * groups + (modalities == THERMAL)
+    counts = np.bincount(cell, minlength=2 * n_groups)
+    n, m = counts[0::2], counts[1::2]
+    if not (n.all() and m.all()):
+        g = np.flatnonzero(n * m == 0)[0]
+        owner = "the batch" if ids is None else f"identity {ids[g]}"
+        raise ValueError(f"{owner} has no {'visible' if n[g] == 0 else 'thermal'} features")
+    if estimator == "unbiased" and min(n.min(), m.min()) < 2:
+        g = np.flatnonzero(np.minimum(n, m) < 2)[0]
+        raise ValueError(f"unbiased estimator needs >= 2 samples per set, got {n[g]} and {m[g]}")
+
+    # padded (group, slot) blocks: visible rows in slots [0, s), thermal rows
+    # in [s, L), each in batch order; empty slots repeat row 0
+    s = int(n.max())
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    slot = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell] + s * (cell % 2)
+    rows = np.zeros((n_groups, s + int(m.max())), dtype=np.intp)
+    valid = np.zeros(rows.shape, dtype=bool)
+    rows[cell // 2, slot] = order
+    valid[cell // 2, slot] = True
+
+    xb = x[rows]
+    d2 = squared_distances(xb, xb)
+    # pairs with an empty slot sit at infinite distance: the median skips
+    # them and their kernel values and gradient weights are exactly 0
+    np.copyto(d2, np.inf, where=~(valid[:, :, None] & valid[:, None, :]))
+    bw = spec.bandwidths(resolve_bandwidth(spec, d2))
+    if estimator == "unbiased":
+        diagonal = np.arange(d2.shape[-1])
+        d2[:, diagonal, diagonal] = np.inf  # same-set diagonals excluded
+        pairs_x, pairs_y, self_pairs = n * (n - 1), m * (m - 1), -1
+    else:
+        pairs_x, pairs_y, self_pairs = n * n, m * m, 1
+    # distinct kernel pairs after exploiting symmetry, u(u -+ 1)/2 over each
+    # group's u = n + m rows; mixture size does not multiply the count
+    counters.kernel_pairs.add(((n + m) * (n + m + self_pairs)).sum() // 2)
+
+    # the visible slots' rows hold the xx and xy sub-blocks, so the kernel
+    # is never evaluated on the redundant yx sub-block
+    k_top, a_top = mixture_kernel_matrix(d2[:, :s], bw, grad_weights=True)
+    kyy, ayy = mixture_kernel_matrix(d2[:, s:, s:], bw, grad_weights=True)
+    kxx, kxy, axx, axy = k_top[..., :s], k_top[..., s:], a_top[..., :s], a_top[..., s:]
+    same_x = np.add.reduce(kxx, axis=(1, 2)) / pairs_x
+    same_y = np.add.reduce(kyy, axis=(1, 2)) / pairs_y
+    cross = np.add.reduce(kxy, axis=(1, 2)) / (n * m)
+    mmd2 = same_x + same_y - 2.0 * cross
+    active = np.ones(n_groups, dtype=bool) if rho is None else mmd2 - rho > 0
+    value = float(np.where(active, mmd2, 0.0).sum() / n_groups)
+
+    # W∘A per sub-block, W carrying the estimator's normalization, the group
+    # average and the gate; same-set and cross-set terms stay separate so
+    # that they cancel exactly when the modalities coincide
+    weight = 2.0 * active / n_groups
+    wxx = axx * (weight / pairs_x)[:, None, None]
+    wyy = ayy * (weight / pairs_y)[:, None, None]
+    wxy = axy * (weight / (n * m))[:, None, None]
+    wyx = np.swapaxes(wxy, 1, 2)
+    xs, ys = xb[:, :s], xb[:, s:]
+    gx = (wxx @ xs - wxy @ ys) - xs * (wxx.sum(axis=2) - wxy.sum(axis=2))[..., None]
+    gy = (wyy @ ys - wyx @ xs) - ys * (wyy.sum(axis=2) - wyx.sum(axis=2))[..., None]
+    grad = np.empty_like(x)
+    grad[rows[valid]] = np.concatenate([gx, gy], axis=1)[valid]
+    return (mmd2, same_x, same_y, cross), active, value, grad
+
+
+def _estimate(xs, ys, spec: KernelSpec, estimator: str) -> MmdEstimate:
+    xs, ys = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (xs, ys))
     if xs.shape[0] == 0 or ys.shape[0] == 0:
         raise ValueError("MMD requires nonempty sample sets")
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"dimension mismatch: xs has {xs.shape[1]}, ys has {ys.shape[1]}")
-    if estimator == "unbiased" and (xs.shape[0] < 2 or ys.shape[0] < 2):
-        raise ValueError(
-            f"unbiased estimator needs >= 2 samples per set, got {xs.shape[0]} and {ys.shape[0]}"
-        )
-    return xs, ys
-
-
-def _count_pairs(n: int, m: int, estimator: str) -> None:
-    # distinct kernel pairs after exploiting symmetry; mixture size does not
-    # multiply the count
-    if estimator == "unbiased":
-        same = n * (n - 1) // 2 + m * (m - 1) // 2
-    else:
-        same = n * (n + 1) // 2 + m * (m + 1) // 2
-    counters.kernel_pairs.add(same + n * m)
-
-
-def _kernel_sums(d2: np.ndarray, bandwidths: np.ndarray, want_grad: bool):
-    """Mixture kernel matrix K and, if wanted, A = (1/S) sum_s K_s / sigma_s^2.
-
-    A is the weight matrix appearing in the analytic feature gradient.
-    """
-    k = np.zeros_like(d2)
-    a = np.zeros_like(d2) if want_grad else None
-    for s2 in bandwidths:
-        ks = np.exp(-d2 / (2.0 * s2))
-        k += ks
-        if want_grad:
-            a += ks / s2
-    k /= len(bandwidths)
-    if want_grad:
-        a /= len(bandwidths)
-    return k, a
-
-
-def _mmd2_core(xs, ys, spec: KernelSpec, estimator: str, want_grad: bool):
-    """Shared engine: terms of the estimate plus optional feature gradients."""
-    base = resolve_bandwidth(spec, xs, ys)
-    bw = spec.bandwidths(base)
-    n, m = xs.shape[0], ys.shape[0]
-
-    kxx, axx = _kernel_sums(squared_distances(xs, xs), bw, want_grad)
-    kyy, ayy = _kernel_sums(squared_distances(ys, ys), bw, want_grad)
-    kxy, axy = _kernel_sums(squared_distances(xs, ys), bw, want_grad)
-    _count_pairs(n, m, estimator)
-
-    if estimator == "biased":
-        same_x = float(kxx.mean())
-        same_y = float(kyy.mean())
-        norm_x = 2.0 / (n * n)
-        norm_y = 2.0 / (m * m)
-    else:
-        same_x = float((kxx.sum() - np.trace(kxx)) / (n * (n - 1)))
-        same_y = float((kyy.sum() - np.trace(kyy)) / (m * (m - 1)))
-        norm_x = 2.0 / (n * (n - 1))
-        norm_y = 2.0 / (m * (m - 1))
-    cross = float(kxy.mean())
-    value = same_x + same_y - 2.0 * cross
-    terms = (value, same_x, same_y, cross)
-    if not want_grad:
-        return terms, None, None
-
-    # d/dx_i of the same-set double sum: both orderings of each pair
-    # contribute, the diagonal cancels itself, so the expression is the same
-    # for both estimators up to normalization.
-    gx = norm_x * (axx @ xs - xs * axx.sum(axis=1, keepdims=True))
-    gx -= (2.0 / (n * m)) * (axy @ ys - xs * axy.sum(axis=1, keepdims=True))
-    gy = norm_y * (ayy @ ys - ys * ayy.sum(axis=1, keepdims=True))
-    gy -= (2.0 / (n * m)) * (axy.T @ xs - ys * axy.sum(axis=0)[:, None])
-    return terms, gx, gy
-
-
-def _estimate(xs, ys, spec: KernelSpec, estimator: str) -> MmdEstimate:
-    xs, ys = _check_sets(xs, ys, estimator)
-    (value, same_x, same_y, cross), _, _ = _mmd2_core(xs, ys, spec, estimator, want_grad=False)
-    return MmdEstimate(value, same_x, same_y, cross)
+    modalities = np.repeat([VISIBLE, THERMAL], [len(xs), len(ys)])
+    terms, _, _, _ = _engine(np.vstack([xs, ys]), modalities, 0 * modalities, None, spec, estimator)
+    return MmdEstimate(*(float(t[0]) for t in terms))
 
 
 def mmd2_biased(xs, ys, spec: KernelSpec) -> MmdEstimate:
@@ -181,66 +179,32 @@ def mmd2_unbiased(xs, ys, spec: KernelSpec) -> MmdEstimate:
     return _estimate(xs, ys, spec, "unbiased")
 
 
-def _split_modalities(batch: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    vis = np.where(batch.modalities == VISIBLE)[0]
-    th = np.where(batch.modalities == THERMAL)[0]
-    if len(vis) == 0:
-        raise ValueError("batch has no visible features")
-    if len(th) == 0:
-        raise ValueError("batch has no thermal features")
-    return vis, th
-
-
 def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> LossValue:
-    """MMD^2 between the batch's visible and thermal features, with gradients."""
-    vis, th = _split_modalities(batch)
-    xs, ys = _check_sets(batch.features[vis], batch.features[th], estimator)
-    (value, _, _, _), gx, gy = _mmd2_core(xs, ys, spec, estimator, want_grad=True)
-    grad = np.zeros_like(batch.features)
-    grad[vis] = gx
-    grad[th] = gy
-    if estimator == "unbiased":
-        value = max(0.0, value)
+    """MMD^2 between the batch's visible and thermal features, with gradients.
+
+    The unbiased value is the signed U-statistic, not clamped at 0.
+    """
+    mods = batch.modalities
+    _, _, value, grad = _engine(batch.features, mods, 0 * mods, None, spec, estimator)
     return LossValue(value, grad)
 
 
-def _per_class(batch: FeatureSet, spec: KernelSpec, rho: float | None, estimator: str):
-    """Class-conditional engine shared by the plain and margin-gated losses.
-
-    ``rho=None`` disables the gate. Classes are reduced in ascending identity
-    order; a gated class contributes exactly zero value and gradient.
-    """
-    ids = np.unique(batch.identities)
-    grad = np.zeros_like(batch.features)
-    class_mmd2 = np.empty(len(ids))
-    total = 0.0
-    active = 0
-    for i, c in enumerate(ids):
-        vis = np.where((batch.identities == c) & (batch.modalities == VISIBLE))[0]
-        th = np.where((batch.identities == c) & (batch.modalities == THERMAL))[0]
-        if len(vis) == 0 or len(th) == 0:
-            missing = "visible" if len(vis) == 0 else "thermal"
-            raise ValueError(f"identity {c} has no {missing} features in the batch")
-        xs, ys = _check_sets(batch.features[vis], batch.features[th], estimator)
-        (value, _, _, _), gx, gy = _mmd2_core(xs, ys, spec, estimator, want_grad=True)
-        class_mmd2[i] = value
-        if rho is None or value - rho > 0:
-            total += value
-            grad[vis] += gx
-            grad[th] += gy
-            active += 1
-    c_count = len(ids)
-    total /= c_count
-    grad /= c_count
-    if estimator == "unbiased":
-        total = max(0.0, total)
-    return total, grad, active, ids, class_mmd2
+def _per_class(batch: FeatureSet, spec: KernelSpec, estimator: str, rho=None):
+    ids, groups = np.unique(batch.identities, return_inverse=True)
+    (mmd2, _, _, _), active, value, grad = _engine(
+        batch.features, batch.modalities, groups, ids, spec, estimator, rho
+    )
+    return value, grad, int(active.sum()), ids, mmd2
 
 
 def loss_mmd_id(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> ClassMmdResult:
-    """Average per-identity MMD^2 between modalities, with gradients."""
-    total, grad, _, ids, values = _per_class(batch, spec, None, estimator)
-    return ClassMmdResult(total, grad, ids, values)
+    """Average per-identity MMD^2 between modalities, with gradients.
+
+    Each identity gets its own median-heuristic bandwidth; the unbiased
+    average is signed, not clamped at 0.
+    """
+    value, grad, _, ids, mmd2 = _per_class(batch, spec, estimator)
+    return ClassMmdResult(value, grad, ids, mmd2)
 
 
 def loss_margin_mmd_id(
@@ -257,8 +221,8 @@ def loss_margin_mmd_id(
     """
     if margin.rho < 0:
         raise ValueError(f"margin rho must be >= 0, got {margin.rho}")
-    total, grad, active, ids, values = _per_class(batch, spec, margin.rho, estimator)
-    return MarginMmdResult(total, grad, active, ids, values)
+    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, margin.rho)
+    return MarginMmdResult(value, grad, active, ids, mmd2)
 
 
 __all__ = [

@@ -44,6 +44,19 @@ def mmd2_oracle(xs, ys, sigma2s, unbiased=False):
     return same_x + same_y - 2.0 * cross
 
 
+def median_bandwidth_oracle(rows):
+    """Median of all pairwise squared distances by scalar loops; 1.0 if 0."""
+    rows = [[float(v) for v in r] for r in rows]
+    d2 = sorted(
+        sum((a - b) ** 2 for a, b in zip(rows[i], rows[j]))
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+    )
+    mid = len(d2) // 2
+    med = d2[mid] if len(d2) % 2 else 0.5 * (d2[mid - 1] + d2[mid])
+    return med if med > 0 else 1.0
+
+
 def fd_gradient(f, x, eps=1e-5):
     """Central finite differences of scalar f over array x (modified in place)."""
     x = np.asarray(x, dtype=np.float64)

@@ -325,6 +325,7 @@ def ablation_runs(tmp_path_factory):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_trends(ablation_runs):
     """Loss-component orderings on the default synthetic data, 3-seed means."""
     mean_rank1 = {
@@ -345,6 +346,7 @@ def test_criterion_6_ablation_trends(ablation_runs):
                 + f"; {ablation_runs['elapsed']:.0f}s < 900s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_similarity_separation(ablation_runs):
     """Centroid-similarity separation: full model beats the CE+HC-Tri baseline."""
     seed = TREND_SEEDS[0]
@@ -354,6 +356,7 @@ def test_criterion_7_similarity_separation(ablation_runs):
     report("7", f"(intra-inter separation {full_sep:.3f} > {base_sep:.3f} on seed {seed})")
 
 
+@pytest.mark.slow
 def test_criterion_8_margin_sweep_stability(tmp_path):
     """Rank-1 varies by < 10 points across the documented margin grid."""
     cfg = ExperimentConfig.defaults()
@@ -369,6 +372,7 @@ def test_criterion_8_margin_sweep_stability(tmp_path):
     report("8", f"(6-row sweep, rank-1 spread {100*spread:.1f} points < 10)")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     """Every command re-run from its resolved config is bit-for-bit identical."""
 

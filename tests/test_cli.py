@@ -67,6 +67,7 @@ class TestGenerate:
             load_dataset(out)
 
 
+@pytest.mark.slow
 class TestTrainEval:
     @pytest.fixture()
     def workspace(self, tmp_path):
@@ -132,6 +133,20 @@ class TestTrainEval:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_one_test_identity_fails_eval(self, tmp_path, capsys):
+        # 5 identities split 80/20 leave one test identity: no inter-identity stats
+        sets = []
+        for item in (f"output.dir={tmp_path}", "data.num_identities=5", "data.samples_per_identity=2",
+                     "batch.p=2", "batch.k=2", "train.epochs=0"):
+            sets += ["--set", item]
+        assert main(["generate", *sets]) == 0
+        assert main(["train", *sets]) == 0
+        capsys.readouterr()
+        assert main(["eval", *sets]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ">= 2 identities" in err
+        assert err.count("\n") == 1
+
     def test_untrained_checkpoint_scores_near_chance(self, tmp_path):
         # high modality shift, zero training epochs: retrieval ~ 1/G
         cfg = tiny_config(
@@ -159,6 +174,17 @@ class TestSweep:
         assert code != 0
         assert "at least 2" in capsys.readouterr().err
 
+    def test_missing_data_dir_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["sweep-margin", "--rhos", "1.0,1.4", "--data", str(tmp_path / "none"),
+             "--set", f"output.dir={out}", "--set", "train.epochs=1"]
+        )
+        assert code == 1
+        assert "no dataset manifest at" in capsys.readouterr().err
+        assert not (out / "dataset").exists()
+
+    @pytest.mark.slow
     def test_sweep_table(self, tmp_path):
         cfg = tiny_config(tmp_path, **{"train.epochs": 1, "eval.trials": 2})
         rows = cmd_sweep_margin(cfg, [1.0, 1.4])

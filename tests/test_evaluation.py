@@ -201,6 +201,11 @@ class TestSimilarityStats:
         with pytest.raises(ValueError, match="thermal"):
             similarity_stats(fs)
 
+    def test_one_identity_rejected(self):
+        fs = FeatureSet(np.eye(2), np.array([3, 3]), np.array([VISIBLE, THERMAL]))
+        with pytest.raises(ValueError, match=">= 2 identities"):
+            similarity_stats(fs)
+
 
 class TestReportFile:
     def test_layout_and_precision(self, tmp_path):

@@ -8,6 +8,7 @@ from xreid.kernels import (
     median_heuristic_bandwidth,
     mixture_kernel_matrix,
     rbf_kernel,
+    resolve_bandwidth,
     squared_distances,
 )
 
@@ -163,3 +164,36 @@ def test_mixture_kernel_matrix_uniform_weights():
     out = mixture_kernel_matrix(d2, np.array([2.0, 4.0]))
     assert out[0, 0] == 1.0
     assert out[0, 1] == pytest.approx((np.exp(-1.0) + np.exp(-0.5)) / 2.0, abs=1e-15)
+
+
+def test_mixture_kernel_matrix_grad_weights_per_block():
+    # A = (1/S) sum_s K_s / sigma_s^2 per block, with one bandwidth row per block
+    d2 = np.array([[[0.0, 4.0]], [[1.0, 9.0]]])
+    bandwidths = np.array([[2.0, 4.0], [1.0, 3.0]])
+    k, a = mixture_kernel_matrix(d2, bandwidths, grad_weights=True)
+    for c in range(2):
+        for j in range(2):
+            ks = [np.exp(-d2[c, 0, j] / (2.0 * s2)) for s2 in bandwidths[c]]
+            assert k[c, 0, j] == pytest.approx(np.mean(ks), abs=1e-15)
+            assert a[c, 0, j] == pytest.approx(np.mean([v / s2 for v, s2 in zip(ks, bandwidths[c])]), abs=1e-15)
+
+
+class TestBlockStacks:
+    def test_stacked_distances_match_each_block(self):
+        rng = np.random.default_rng(7)
+        xs = rng.standard_normal((3, 5, 4))
+        stacked = squared_distances(xs, xs)
+        for c in range(3):
+            assert np.allclose(stacked[c], squared_distances(xs[c], xs[c]), atol=1e-12)
+
+    def test_padded_block_medians(self):
+        # pairs at infinite distance (padding) take no part in a block's median
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((3, 6, 2))
+        valid = np.array([[1, 1, 0, 1, 1, 0], [1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 1, 0]], dtype=bool)
+        d2 = squared_distances(xs, xs)
+        d2[~(valid[:, :, None] & valid[:, None, :])] = np.inf
+        bases = resolve_bandwidth(KernelSpec(), d2)
+        for c in range(3):
+            assert bases[c] == pytest.approx(median_heuristic_bandwidth(xs[c][valid[c]]), abs=1e-12)
+        assert resolve_bandwidth(KernelSpec(sigma_squared=2.5), d2).tolist() == [2.5, 2.5, 2.5]

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from oracle_utils import fd_gradient, mmd2_oracle, random_two_modality_batch, rel_error
-from xreid import counters
+from oracle_utils import (
+    fd_gradient,
+    median_bandwidth_oracle,
+    mmd2_oracle,
+    random_two_modality_batch,
+    rel_error,
+)
+from xreid import counters, mmd
 from xreid.data import FeatureSet, THERMAL, VISIBLE
-from xreid.kernels import KernelSpec
+from xreid.kernels import DEFAULT_MIXTURE_SCALES, KernelSpec
+from xreid.losses import HcTriConfig, LossWeights, loss_total
 from xreid.mmd import (
     MarginConfig,
     loss_margin_mmd_id,
@@ -137,8 +144,8 @@ class TestMarginalLoss:
 
     @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
     def test_finite_difference_gradients(self, estimator):
-        # pk_batch has a real modality gap, keeping the unbiased estimate
-        # positive so its report-level clamp at 0 stays inactive
+        # pk_batch has a real modality gap, so the estimates are positive;
+        # TestBlockEngine covers negative unbiased estimates
         rng = np.random.default_rng(3)
         for _ in range(8):
             batch = pk_batch(rng, p=2, k=3, gap=2.0)
@@ -305,3 +312,91 @@ class TestPairCounting:
     def test_counter_resets(self):
         counters.kernel_pairs.reset()
         assert counters.kernel_pairs.count == 0
+
+
+def shuffled(batch, rng):
+    perm = rng.permutation(len(batch))
+    return FeatureSet(batch.features[perm], batch.identities[perm], batch.modalities[perm])
+
+
+def cell(batch, c, modality):
+    return batch.features[(batch.identities == c) & (batch.modalities == modality)]
+
+
+class TestBlockEngine:
+    """Shuffled rows, ragged cells of 1-4 rows, both estimators, the median
+    heuristic and several mixtures through the one batch engine."""
+
+    MIXTURES = [(1.0,), (0.5, 2.0), DEFAULT_MIXTURE_SCALES]
+
+    @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+    @pytest.mark.parametrize("scales", MIXTURES)
+    def test_per_class_values_match_oracle_with_own_median(self, estimator, scales):
+        rng = np.random.default_rng(21)
+        low = 2 if estimator == "unbiased" else 1
+        spec = KernelSpec(mixture_scales=scales)
+        for _ in range(4):
+            batch = shuffled(random_two_modality_batch(rng, n_classes=4, per_cell=(low, 4)), rng)
+            res = loss_mmd_id(batch, spec, estimator)
+            assert res.class_ids.tolist() == [0, 1, 2, 3]
+            for c, got in zip(res.class_ids, res.class_mmd2):
+                xs, ys = cell(batch, c, VISIBLE), cell(batch, c, THERMAL)
+                base = median_bandwidth_oracle(np.vstack([xs, ys]))
+                want = mmd2_oracle(xs, ys, [s * base for s in scales], estimator == "unbiased")
+                assert got == pytest.approx(want, abs=1e-10)
+            assert res.value == pytest.approx(np.mean(res.class_mmd2), abs=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+    @pytest.mark.parametrize("variant", ["margin_id", "id", "marginal"])
+    def test_loss_total_gradient_with_bandwidths_held(self, monkeypatch, estimator, variant):
+        # median-heuristic bandwidths are constants to the gradient: record
+        # what mmd.resolve_bandwidth returns once, replay it under perturbation
+        rng = np.random.default_rng(22)
+        low = 2 if estimator == "unbiased" else 1
+        original = mmd.resolve_bandwidth
+        for trial in range(3):
+            batch = shuffled(random_two_modality_batch(rng, n_classes=3, per_cell=(low, 4)), rng)
+            logits = rng.standard_normal((len(batch), 3))
+            spec = KernelSpec(mixture_scales=self.MIXTURES[trial])
+            monkeypatch.setattr(mmd, "resolve_bandwidth", original)
+            values = loss_mmd_id(batch, spec, estimator).class_mmd2
+            # a margin halfway between two class values: one gate shut, one open
+            rho = max(0.0, float(np.mean(np.sort(values)[:2])))
+            kwargs = dict(
+                kernel_spec=spec, margin=MarginConfig(rho), hctri=HcTriConfig(0.3),
+                weights=LossWeights(1.0, 1.0, 0.0), estimator=estimator, mmd_variant=variant,
+            )
+            recorded = []
+
+            def record(*args, **kw):
+                recorded.append(original(*args, **kw))
+                return recorded[-1]
+
+            monkeypatch.setattr(mmd, "resolve_bandwidth", record)
+            analytic = loss_total(batch, logits, batch.identities, **kwargs).grad_pooled
+            assert len(recorded) == 1
+
+            def total():
+                replay = iter(recorded)
+                monkeypatch.setattr(mmd, "resolve_bandwidth", lambda *a, **kw: next(replay))
+                return loss_total(batch, logits, batch.identities, **kwargs).total
+
+            fd = fd_gradient(total, batch.features)
+            assert rel_error(analytic, fd) < 1e-4
+
+    @pytest.mark.parametrize("loss", [loss_mmd_marginal, loss_mmd_id])
+    def test_negative_unbiased_estimate_value_and_gradient(self, loss):
+        # both modalities drawn from one distribution: the U-statistic is
+        # often negative, and the loss reports it signed with its gradient
+        rng = np.random.default_rng(23)
+        spec = KernelSpec(sigma_squared=1.5, mixture_scales=(0.5, 1.0))
+        negatives = 0
+        for _ in range(20):
+            batch = shuffled(random_two_modality_batch(rng, n_classes=2, per_cell=(2, 4), scale=0.0), rng)
+            res = loss(batch, spec, "unbiased")
+            if res.value >= 0:
+                continue
+            negatives += 1
+            fd = fd_gradient(lambda: loss(batch, spec, "unbiased").value, batch.features)
+            assert rel_error(res.grad, fd) < 1e-4
+        assert negatives >= 3

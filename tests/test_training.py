@@ -40,6 +40,7 @@ def test_class_index_contiguous():
     assert mapping == {3: 0, 7: 1, 11: 2}
 
 
+@pytest.mark.slow
 def test_run_training_stats_and_log(tmp_path):
     cfg = small_config()
     train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
@@ -54,6 +55,7 @@ def test_run_training_stats_and_log(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.slow
 def test_ce_only_logs_nan_mmd_columns(tmp_path):
     cfg = small_config(**{"loss.lambda_margin_mmd": 0.0, "loss.lambda_hctri": 0.0})
     train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
@@ -64,6 +66,7 @@ def test_ce_only_logs_nan_mmd_columns(tmp_path):
     assert ",nan,nan," in path.read_text().splitlines()[1]
 
 
+@pytest.mark.slow
 def test_divergence_carries_last_good_params():
     cfg = small_config(**{"optim.base_lr": 1e6, "train.epochs": 5})
     train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
@@ -74,6 +77,7 @@ def test_divergence_carries_last_good_params():
         assert np.all(np.isfinite(arr))
 
 
+@pytest.mark.slow
 def test_encode_dataset_matches_forward_chunking():
     cfg = small_config()
     train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
@@ -88,6 +92,7 @@ def test_encode_dataset_matches_forward_chunking():
         encode_dataset(params, test, features="raw")
 
 
+@pytest.mark.slow
 def test_full_loss_wallclock_overhead_is_moderate():
     # mirrors the training-time comparison on the default synthetic config:
     # the full objective should not blow up step time relative to
