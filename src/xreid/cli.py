@@ -8,7 +8,8 @@ from the resolved config, except the wall-clock column of the training log.
 
 Directory layout under ``output.dir``:
 
-* ``dataset/``: ``train.csv``, ``test.csv``, ``manifest.json`` (checksums)
+* ``dataset/``: ``train.csv``, ``test.csv``, ``manifest.json`` (checksums;
+  ``train`` and ``eval`` check them all, then parse only their own split)
 * ``train/``: ``checkpoint.bin``, ``log.csv``, ``config.resolved``
 * ``eval/``: ``report.csv``, ``embeddings.csv``, ``config.resolved``
 * ``sweep/``: one run directory per rho plus ``sweep.csv``
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import data, seeds
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _parse_float_list
 from .data import DescriptorSet
 from .encoder import load_checkpoint, save_checkpoint
 from .evaluation import EvalReport, evaluate, similarity_stats, write_report
@@ -82,8 +83,9 @@ def _manifest_path(dataset_dir: Path) -> Path:
     return path
 
 
-def load_dataset(dataset_dir) -> tuple[DescriptorSet, DescriptorSet]:
-    """Load a generated dataset, refusing on any checksum mismatch."""
+def load_dataset(dataset_dir, split: str) -> DescriptorSet:
+    """Load one split (``"train"`` or ``"test"``) of a generated dataset,
+    refusing on a checksum mismatch in any manifest file, unparsed ones too."""
     dataset_dir = Path(dataset_dir)
     with open(_manifest_path(dataset_dir), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -96,13 +98,13 @@ def load_dataset(dataset_dir) -> tuple[DescriptorSet, DescriptorSet]:
                 f"dataset checksum mismatch for {name}: manifest {expected[:12]}..., "
                 f"file {actual[:12]}..."
             )
-    return data.load(dataset_dir / "train.csv"), data.load(dataset_dir / "test.csv")
+    return data.load(dataset_dir / f"{split}.csv")
 
 
 def cmd_train(config: ExperimentConfig, data_dir=None) -> Path:
     """Train from a generated dataset; writes checkpoint, log, resolved config."""
     data_dir = Path(data_dir) if data_dir else Path(config.output_dir) / "dataset"
-    train_set, _ = load_dataset(data_dir)
+    train_set = load_dataset(data_dir, "train")
     out = Path(config.output_dir) / "train"
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -117,13 +119,12 @@ def cmd_train(config: ExperimentConfig, data_dir=None) -> Path:
 
 
 def _dump_embeddings(path, feats) -> None:
-    token = {data.VISIBLE: "v", data.THERMAL: "t"}
     dim = feats.features.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("identity,modality," + ",".join(f"e_{i}" for i in range(dim)) + "\n")
         for i in range(len(feats)):
             vals = ",".join(repr(v) for v in feats.features[i].tolist())
-            fh.write(f"{feats.identities[i]},{token[int(feats.modalities[i])]},{vals}\n")
+            fh.write(f"{feats.identities[i]},{data._MODALITY_TOKEN[int(feats.modalities[i])]},{vals}\n")
 
 
 def cmd_eval(config: ExperimentConfig, data_dir=None, checkpoint=None) -> EvalReport:
@@ -132,7 +133,7 @@ def cmd_eval(config: ExperimentConfig, data_dir=None, checkpoint=None) -> EvalRe
     checkpoint = Path(checkpoint) if checkpoint else Path(config.output_dir) / "train" / "checkpoint.bin"
     if not checkpoint.exists():
         raise CliError(f"no checkpoint at {checkpoint}; run train first")
-    _, test_set = load_dataset(data_dir)
+    test_set = load_dataset(data_dir, "test")
     params = load_checkpoint(checkpoint)
     expected = config.encoder_shape(num_classes=params.shape.num_classes)
     if params.shape != expected:
@@ -198,11 +199,6 @@ def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> lis
     return rows
 
 
-def _parse_rhos(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v.strip()]
-    return values
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="xreid", description="cross-modal identity experiments on synthetic data"
@@ -235,7 +231,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(config, data_dir=args.data, checkpoint=args.checkpoint)
         else:
-            cmd_sweep_margin(config, _parse_rhos(args.rhos), data_dir=args.data)
+            cmd_sweep_margin(config, _parse_float_list(args.rhos), data_dir=args.data)
     except (CliError, ConfigError, ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,10 @@
 The protocol is single-shot with repeated gallery trials: per trial one
 gallery sample per identity is drawn uniformly, every query is ranked against
 that gallery by descending similarity, and CMC/mAP are averaged over trials.
-Average precision is computed in the general multi-relevant form (mean of
-precision at each hit), which reduces to 1/rank under single-shot galleries.
+A relevant item's 1-based rank is 1 + (items scoring higher) + (items tied
+with it at a lower gallery index): ties go to the lower index, as in a stable
+sort. Average precision is computed in the general multi-relevant form (mean
+of precision at each hit), which reduces to 1/rank under single-shot galleries.
 
 The similarity diagnostic summarizes per-identity centroid geometry: cosine
 similarities between the visible and thermal centroid of the same identity
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSet, THERMAL, VISIBLE
+from .data import FeatureSet
+from .losses import hetero_centers
 
 RANK_COLUMNS = (1, 5, 10, 20)
 
@@ -63,27 +66,37 @@ def similarity_matrix(query: np.ndarray, gallery: np.ndarray, ranking: str = "co
 def cmc_map(similarities: np.ndarray, query_ids, gallery_ids) -> tuple[np.ndarray, np.ndarray]:
     """Per-query CMC curves (averaged) and AP values from a score matrix.
 
-    Ties are broken by gallery index (stable sort on descending score).
-    Handles galleries with multiple relevant items per query.
+    Ties go to the lower gallery index. Handles galleries with multiple
+    relevant items per query.
     """
     similarities = np.asarray(similarities, dtype=np.float64)
     query_ids = np.asarray(query_ids)
     gallery_ids = np.asarray(gallery_ids)
     n_q, n_g = similarities.shape
 
-    order = np.argsort(-similarities, axis=1, kind="stable")
-    matches = gallery_ids[order] == query_ids[:, None]
+    q, g = np.divmod(np.flatnonzero(gallery_ids[None, :] == query_ids[:, None]), n_g)
+    n_hits = np.bincount(q, minlength=n_q)
+    if not n_hits.all():
+        raise ValueError(f"query identity {query_ids[np.argmin(n_hits)]} absent from gallery")
+    # gallery items ranked ahead of each relevant item (q, g): a higher
+    # score, or an equal one at a lower gallery index
+    rows = similarities[q]
+    score = similarities[q, g][:, None]
+    ahead = (rows > score) | ((rows == score) & (np.arange(n_g) < g[:, None]))
+    # hits[q, r]: a relevant item at 0-based rank r; flat order is rank order
+    hits = np.zeros((n_q, n_g), dtype=bool)
+    hits[q, np.count_nonzero(ahead, axis=1)] = True
+    q, rank = np.divmod(np.flatnonzero(hits), n_g)
+    first = np.cumsum(n_hits) - n_hits  # each query's top-ranked hit
+    j = np.arange(len(q)) - first[q]    # 0-based hit number within its query
 
-    cmc = np.zeros(n_g)
-    ap = np.empty(n_q)
-    for q in range(n_q):
-        hit_positions = np.where(matches[q])[0]
-        if len(hit_positions) == 0:
-            raise ValueError(f"query identity {query_ids[q]} absent from gallery")
-        cmc[hit_positions[0]:] += 1.0
-        ranks = hit_positions + 1.0
-        ap[q] = float(np.mean(np.arange(1, len(ranks) + 1) / ranks))
-    return cmc / n_q, ap
+    cmc = np.cumsum(np.bincount(rank[first], minlength=n_g)) / n_q
+    # zero-padded rows, so a sequential cumsum adds each query's precisions
+    # in rank order and the padding adds exact zeros
+    precision = np.zeros((n_q, n_hits.max()))
+    precision[q, j] = (j + 1) / (rank + 1.0)
+    ap = np.cumsum(precision, axis=1)[:, -1] / n_hits
+    return cmc, ap
 
 
 def evaluate(
@@ -134,21 +147,11 @@ def similarity_stats(test: FeatureSet) -> SimilarityStats:
 
     Inter-identity pairs need at least 2 identities; fewer raise ValueError.
     """
-    ids = np.unique(test.identities)
+    ids, cv, ct = hetero_centers(test)
     if len(ids) < 2:
         raise ValueError(
             f"similarity stats need features of >= 2 identities to compare, got {len(ids)}"
         )
-    dim = test.features.shape[1]
-    cv = np.empty((len(ids), dim))
-    ct = np.empty((len(ids), dim))
-    for i, c in enumerate(ids):
-        for modality, out in ((VISIBLE, cv), (THERMAL, ct)):
-            rows = test.features[(test.identities == c) & (test.modalities == modality)]
-            if len(rows) == 0:
-                name = "visible" if modality == VISIBLE else "thermal"
-                raise ValueError(f"identity {c} has no {name} samples")
-            out[i] = rows.mean(axis=0)
     sims = _normalize_rows(cv) @ _normalize_rows(ct).T
     intra = np.diag(sims)
     off_mask = ~np.eye(len(ids), dtype=bool)

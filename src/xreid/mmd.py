@@ -217,11 +217,11 @@ def loss_margin_mmd_id(
 
     A class contributes its full MMD^2 while MMD^2 - rho > 0 and exactly
     zero (no gradient) otherwise; the loss is the class average of the
-    surviving terms.
+    surviving terms. At rho = 0 no class is gated, for either estimator, so
+    the result equals :func:`loss_mmd_id` bitwise.
     """
-    if margin.rho < 0:
-        raise ValueError(f"margin rho must be >= 0, got {margin.rho}")
-    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, margin.rho)
+    rho = margin.rho if margin.rho > 0 else None
+    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, rho)
     return MarginMmdResult(value, grad, active, ids, mmd2)
 
 

@@ -64,7 +64,21 @@ class TestGenerate:
         out = cmd_generate(cfg)
         (out / "train.csv").write_text((out / "train.csv").read_text().replace("0", "1", 1))
         with pytest.raises(Exception, match="checksum"):
-            load_dataset(out)
+            load_dataset(out, "test")
+
+    @pytest.mark.parametrize("command,corrupt", [("eval", "train.csv"), ("train", "test.csv")])
+    def test_unparsed_split_still_checksummed(self, tmp_path, capsys, command, corrupt):
+        out = cmd_generate(tiny_config(tmp_path))
+        (out / corrupt).write_text((out / corrupt).read_text().replace("0", "1", 1))
+        # eval looks for a checkpoint first; the dataset check must refuse
+        # before the (empty) file is read
+        (tmp_path / "train").mkdir()
+        (tmp_path / "train" / "checkpoint.bin").write_bytes(b"")
+        code = main([command, "--set", f"output.dir={tmp_path}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset checksum mismatch for " + corrupt)
+        assert err.count("\n") == 1
 
 
 @pytest.mark.slow

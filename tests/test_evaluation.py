@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_utils import cmc_map_oracle
 from xreid.data import FeatureSet, THERMAL, VISIBLE
@@ -49,6 +51,21 @@ class TestCmcMap:
             o_cmc, o_ap = cmc_map_oracle(sims, q_ids, g_ids)
             assert np.array_equal(cmc, o_cmc)
             assert np.array_equal(ap, o_ap)
+
+    @given(st.data())
+    def test_matches_oracle_on_ties_and_repeated_identities(self, data):
+        n_q = data.draw(st.integers(1, 30))
+        n_g = data.draw(st.integers(2, 30))
+        g_ids = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n_g, max_size=n_g)))
+        q_ids = g_ids[data.draw(st.lists(st.integers(0, n_g - 1), min_size=n_q, max_size=n_q))]
+        levels = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True))
+        picks = data.draw(st.lists(st.integers(0, len(levels) - 1),
+                                   min_size=n_q * n_g, max_size=n_q * n_g))
+        sims = np.array(levels)[picks].reshape(n_q, n_g)
+        cmc, ap = cmc_map(sims, q_ids, g_ids)
+        o_cmc, o_ap = cmc_map_oracle(sims, q_ids, g_ids)
+        assert np.array_equal(cmc, o_cmc)
+        assert np.array_equal(ap, o_ap)
 
     def test_ties_break_by_gallery_index(self):
         sims = np.array([[1.0, 1.0, 1.0]])

@@ -234,6 +234,25 @@ class TestMarginLoss:
         assert np.array_equal(gated.grad, plain.grad)
         assert gated.active_classes == 3
 
+    def test_rho_zero_matches_mmd_id_bitwise_unbiased(self):
+        # one class drawn from a single distribution in both modalities, so
+        # its unbiased MMD^2 is negative; rho = 0 must still keep it
+        rng = np.random.default_rng(3)
+        same = rng.standard_normal((6, 2))
+        apart = rng.standard_normal((6, 2)) + np.repeat([[0.0], [3.0]], 3, axis=0)
+        batch = FeatureSet(
+            np.vstack([same, apart]),
+            np.repeat([0, 1], 6),
+            np.tile(np.repeat([VISIBLE, THERMAL], 3), 2),
+        )
+        spec = KernelSpec(sigma_squared=1.0, mixture_scales=(0.5, 1.0, 2.0))
+        gated = loss_margin_mmd_id(batch, spec, MarginConfig(0.0), estimator="unbiased")
+        plain = loss_mmd_id(batch, spec, estimator="unbiased")
+        assert plain.class_mmd2.min() < 0.0 < plain.class_mmd2.max()
+        assert gated.value == plain.value
+        assert np.array_equal(gated.grad, plain.grad)
+        assert gated.active_classes == 2
+
     def test_two_point_gate_behavior(self):
         batch = FeatureSet(
             np.array([[0.0], [2.0]]), np.array([0, 0]), np.array([VISIBLE, THERMAL])
