@@ -25,7 +25,6 @@ from .encoder import (
     SgdState,
     backward,
     forward,
-    gem_pool,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -89,7 +88,6 @@ __all__ = [
     "init_params",
     "forward",
     "backward",
-    "gem_pool",
     "sgd_step",
     "save_checkpoint",
     "load_checkpoint",

@@ -28,6 +28,7 @@ from .config import ConfigError, ExperimentConfig, _parse_float_list
 from .data import DescriptorSet
 from .encoder import load_checkpoint, save_checkpoint
 from .evaluation import EvalReport, evaluate, similarity_stats, write_report
+from .mmd import MarginConfig
 from .training import TrainingDiverged, encode_dataset, run_training, write_log
 
 MANIFEST_VERSION = 1
@@ -171,6 +172,8 @@ def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> lis
     rhos = list(rho_values)
     if len(rhos) < 2:
         raise CliError(f"sweep needs at least 2 margin values, got {len(rhos)}")
+    for rho in rhos:
+        MarginConfig(float(rho))  # rejects a bad margin before anything is written
     root = Path(config.output_dir)
     if data_dir:
         data_dir = Path(data_dir)

@@ -207,6 +207,49 @@ def generate(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> tup
     return full.select(np.where(train_mask)[0]), full.select(np.where(~train_mask)[0])
 
 
+@dataclass(frozen=True)
+class CellIndex:
+    """Rows grouped by (identity, modality) cell, as a CSR index.
+
+    Cell ``2 * r + t`` holds the rows of the identity of rank ``r`` in
+    ``ids`` and modality ``t`` (0 visible, 1 thermal). Its rows, in
+    ascending row order, are ``order[starts[c]:starts[c + 1]]``.
+    """
+
+    ids: np.ndarray     # (P,) distinct identities, ascending
+    cell: np.ndarray    # (N,) each row's cell
+    counts: np.ndarray  # (2P,) rows per cell
+    order: np.ndarray   # (N,) row indices sorted by cell, stable
+    starts: np.ndarray  # (2P + 1,) offsets of each cell into ``order``
+
+    def rows(self, c: int) -> np.ndarray:
+        return self.order[self.starts[c]:self.starts[c + 1]]
+
+    def first_empty(self, cells=None) -> tuple[int, int] | None:
+        """(identity, modality) of the first empty cell among ``cells``
+        (every cell, in cell order, by default), or None."""
+        cells = np.arange(len(self.counts)) if cells is None else np.asarray(cells)
+        empty = cells[self.counts[cells] == 0]
+        if len(empty) == 0:
+            return None
+        return int(self.ids[empty[0] // 2]), int(empty[0] % 2)
+
+
+def cell_index(identities, modalities, ids=None) -> CellIndex:
+    """Index the rows of parallel identity/modality labels by cell.
+
+    ``ids`` (ascending, holding every row's identity) fixes the identities
+    indexed, empty cells included; by default they are those present.
+    """
+    if ids is None:
+        ids = np.unique(identities)
+    cell = 2 * np.searchsorted(ids, identities) + (np.asarray(modalities) == THERMAL)
+    counts = np.bincount(cell, minlength=2 * len(ids))
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    starts[1:] = np.cumsum(counts)
+    return CellIndex(ids, cell, counts, np.argsort(cell, kind="stable"), starts)
+
+
 def _choose(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     # uniform without replacement when the cell is big enough, else with
     if len(pool) >= k:
@@ -214,25 +257,29 @@ def _choose(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     return rng.choice(pool, size=k, replace=True)
 
 
-def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generator) -> DescriptorSet:
+def sample_batch(
+    dataset: DescriptorSet,
+    spec: BatchSpec,
+    rng: np.random.Generator,
+    index: CellIndex | None = None,
+) -> DescriptorSet:
     """Draw one identity-balanced cross-modal batch.
 
     P distinct identities uniformly without replacement, then K visible and K
     thermal samples per identity. Output rows are grouped by identity with
-    the visible block before the thermal block.
+    the visible block before the thermal block. ``index`` is the dataset's
+    :func:`cell_index`, built here when not given.
     """
-    ids = np.unique(dataset.identities)
-    if len(ids) < spec.p:
-        raise ValueError(f"dataset has {len(ids)} identities, batch needs P={spec.p}")
-    chosen = rng.choice(ids, size=spec.p, replace=False)
-
-    picks = []
-    for identity in chosen:
-        for modality in (VISIBLE, THERMAL):
-            pool = np.where((dataset.identities == identity) & (dataset.modalities == modality))[0]
-            if len(pool) == 0:
-                raise ValueError(f"identity {identity} has no samples of modality {modality}")
-            picks.append(_choose(rng, pool, spec.k))
+    if index is None:
+        index = cell_index(dataset.identities, dataset.modalities)
+    if len(index.ids) < spec.p:
+        raise ValueError(f"dataset has {len(index.ids)} identities, batch needs P={spec.p}")
+    chosen = rng.choice(index.ids, size=spec.p, replace=False)
+    cells = (2 * np.searchsorted(index.ids, chosen)[:, None] + np.array([VISIBLE, THERMAL])).ravel()
+    gap = index.first_empty(cells)
+    if gap is not None:
+        raise ValueError(f"identity {gap[0]} has no samples of modality {gap[1]}")
+    picks = [_choose(rng, index.rows(c), spec.k) for c in cells]
     return dataset.select(np.concatenate(picks))
 
 
@@ -247,9 +294,10 @@ class BatchSampler:
         self.dataset = dataset
         self.spec = spec
         self.rng = rng
+        self.index = cell_index(dataset.identities, dataset.modalities)
 
     def next_batch(self) -> DescriptorSet:
-        return sample_batch(self.dataset, self.spec, self.rng)
+        return sample_batch(self.dataset, self.spec, self.rng, self.index)
 
     def batches_per_epoch(self) -> int:
         return -(-len(self.dataset) // self.spec.batch_size)  # ceil division
@@ -307,6 +355,8 @@ __all__ = [
     "SyntheticSpec",
     "BatchSpec",
     "BatchSampler",
+    "CellIndex",
+    "cell_index",
     "generate",
     "sample_batch",
     "dump",

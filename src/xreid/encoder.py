@@ -15,8 +15,13 @@ linear warmup and two step decays.
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,69 +58,113 @@ class EncoderShape:
         return self.descriptor_dim
 
 
-@dataclass
-class EncoderParams:
-    """All weights plus BN running statistics (stored but not trained)."""
+def param_layout(shape: EncoderShape) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, array shape) of every stored array, in canonical order."""
+    layout = []
+    mid = shape.specific_widths[-1] if shape.specific_widths else shape.descriptor_dim
+    for branch, in_dim, widths in (
+        ("specific_visible", shape.descriptor_dim, shape.specific_widths),
+        ("specific_thermal", shape.descriptor_dim, shape.specific_widths),
+        ("shared", mid, shape.shared_widths),
+    ):
+        for i, width in enumerate(widths):
+            layout += [(f"{branch}.{i}.w", (in_dim, width)), (f"{branch}.{i}.b", (width,))]
+            in_dim = width
+    emb, classes = shape.embedding_dim, shape.num_classes
+    layout += [("gem_p", ())]
+    layout += [(f"bn.{n}", (emb,)) for n in ("gamma", "beta", "running_mean", "running_var")]
+    layout += [("classifier.w", (emb, classes)), ("classifier.b", (classes,))]
+    return tuple(layout)
 
-    shape: EncoderShape
-    specific_visible: list  # [(w, b)] per layer, identical shapes to thermal
-    specific_thermal: list
-    shared: list
-    gem_p: np.ndarray       # 0-d array so it can be updated like any parameter
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    bn_running_mean: np.ndarray
-    bn_running_var: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
+
+class FlatArrays(Mapping):
+    """Named float64 arrays stored back to back in one flat buffer.
+
+    Each name maps to a view into ``buffer``; assigning to a name copies
+    into its view, whose shape the value must have.
+    """
+
+    def __init__(self, layout, buffer: np.ndarray | None = None):
+        self.layout = tuple(layout)
+        self.offsets = list(itertools.accumulate((math.prod(s) for _, s in self.layout), initial=0))
+        size = self.offsets[-1]
+        if buffer is None:
+            buffer = np.zeros(size)
+        if buffer.shape != (size,) or buffer.dtype != np.float64:
+            raise ValueError(f"buffer must be ({size},) float64, got {buffer.shape} {buffer.dtype}")
+        self.buffer = buffer
+        self._views = {
+            name: buffer[a:b].reshape(shape)
+            for (name, shape), a, b in zip(self.layout, self.offsets, self.offsets[1:])
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view, value = self._views[name], np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValueError(f"shape {value.shape} does not match {name!r} shape {view.shape}")
+        view[...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def zeros_like(self) -> "FlatArrays":
+        return FlatArrays(self.layout)
+
+    def name_at(self, element: int) -> str:
+        """Name of the array holding flat buffer element ``element``."""
+        return self.layout[bisect.bisect_right(self.offsets, element) - 1][0]
+
+
+class EncoderParams:
+    """All weights plus BN running statistics (stored but not trained).
+
+    Every array lives in one float64 buffer, ``arrays.buffer``, laid out in
+    :meth:`named_arrays` order; each attribute is a view into it. Write
+    parameters in place (``w[...] = value``); the layer stacks are tuples of
+    ``(w, b)`` views so that a layer cannot be rebound out of the buffer.
+    """
+
+    def __init__(self, shape: EncoderShape, buffer: np.ndarray | None = None):
+        self.shape = shape
+        self.arrays = FlatArrays(param_layout(shape), buffer)
+        a = self.arrays
+
+        def stack(branch, depth):
+            return tuple((a[f"{branch}.{i}.w"], a[f"{branch}.{i}.b"]) for i in range(depth))
+
+        self.specific_visible = stack("specific_visible", len(shape.specific_widths))
+        self.specific_thermal = stack("specific_thermal", len(shape.specific_widths))
+        self.shared = stack("shared", len(shape.shared_widths))
+        self.gem_p = a["gem_p"]  # 0-d so it can be updated like any parameter
+        self.bn_gamma = a["bn.gamma"]
+        self.bn_beta = a["bn.beta"]
+        self.bn_running_mean = a["bn.running_mean"]
+        self.bn_running_var = a["bn.running_var"]
+        self.cls_w = a["classifier.w"]
+        self.cls_b = a["classifier.b"]
+
+    @property
+    def buffer(self) -> np.ndarray:
+        return self.arrays.buffer
 
     def named_arrays(self):
         """(name, array) for every stored array, in canonical order."""
-        for branch, layers in (
-            ("specific_visible", self.specific_visible),
-            ("specific_thermal", self.specific_thermal),
-            ("shared", self.shared),
-        ):
-            for i, (w, b) in enumerate(layers):
-                yield f"{branch}.{i}.w", w
-                yield f"{branch}.{i}.b", b
-        yield "gem_p", self.gem_p
-        yield "bn.gamma", self.bn_gamma
-        yield "bn.beta", self.bn_beta
-        yield "bn.running_mean", self.bn_running_mean
-        yield "bn.running_var", self.bn_running_var
-        yield "classifier.w", self.cls_w
-        yield "classifier.b", self.cls_b
+        return self.arrays.items()
 
     def trainable_names(self) -> list[str]:
-        names = [n for n, _ in self.named_arrays() if not n.startswith("bn.running")]
+        names = [n for n in self.arrays if not n.startswith("bn.running")]
         if not self.shape.gem_p_learnable:
             names.remove("gem_p")
         return names
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            shape=self.shape,
-            specific_visible=[(w.copy(), b.copy()) for w, b in self.specific_visible],
-            specific_thermal=[(w.copy(), b.copy()) for w, b in self.specific_thermal],
-            shared=[(w.copy(), b.copy()) for w, b in self.shared],
-            gem_p=self.gem_p.copy(),
-            bn_gamma=self.bn_gamma.copy(),
-            bn_beta=self.bn_beta.copy(),
-            bn_running_mean=self.bn_running_mean.copy(),
-            bn_running_var=self.bn_running_var.copy(),
-            cls_w=self.cls_w.copy(),
-            cls_b=self.cls_b.copy(),
-        )
-
-
-def _init_stack(rng, in_dim: int, widths: tuple[int, ...]):
-    layers = []
-    for out_dim in widths:
-        w = rng.standard_normal((in_dim, out_dim)) * np.sqrt(2.0 / in_dim)
-        layers.append((w, np.zeros(out_dim)))
-        in_dim = out_dim
-    return layers, in_dim
+        return EncoderParams(self.shape, self.buffer.copy())
 
 
 def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
@@ -126,35 +175,17 @@ def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
     independent draws the initial cross-modal gap is pure weight noise and
     the metric losses fire on every pair from step one.
     """
-    specific_visible, mid = _init_stack(rng, shape.descriptor_dim, shape.specific_widths)
-    specific_thermal = [(w.copy(), b.copy()) for w, b in specific_visible]
-    shared, emb = _init_stack(rng, mid, shape.shared_widths)
-    cls_w = rng.standard_normal((emb, shape.num_classes)) * np.sqrt(1.0 / emb)
-    return EncoderParams(
-        shape=shape,
-        specific_visible=specific_visible,
-        specific_thermal=specific_thermal,
-        shared=shared,
-        gem_p=np.asarray(float(shape.gem_p)),
-        bn_gamma=np.ones(emb),
-        bn_beta=np.zeros(emb),
-        bn_running_mean=np.zeros(emb),
-        bn_running_var=np.ones(emb),
-        cls_w=cls_w,
-        cls_b=np.zeros(shape.num_classes),
-    )
-
-
-def gem_pool(channel_values, p: float) -> float:
-    """Generalized power mean ((1/H) sum x^p)^(1/p) of nonnegative values."""
-    x = np.asarray(channel_values, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise ValueError("gem_pool needs at least one value")
-    if np.any(x < 0):
-        raise ValueError(f"gem_pool inputs must be nonnegative, got min {x.min()}")
-    if p < 1:
-        raise ValueError(f"gem power must be >= 1, got {p}")
-    return float(np.mean(x ** p) ** (1.0 / p))
+    params = EncoderParams(shape)
+    for (wv, _), (wt, _) in zip(params.specific_visible, params.specific_thermal):
+        wv[...] = rng.standard_normal(wv.shape) * np.sqrt(2.0 / wv.shape[0])
+        wt[...] = wv
+    for w, _ in params.shared:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    params.cls_w[...] = rng.standard_normal(params.cls_w.shape) * np.sqrt(1.0 / shape.embedding_dim)
+    params.gem_p[...] = shape.gem_p
+    params.bn_gamma[...] = 1.0
+    params.bn_running_var[...] = 1.0
+    return params
 
 
 def _run_stack(layers, x, record):
@@ -171,22 +202,18 @@ class Tape:
 
     params: EncoderParams
     train: bool
-    n: int
-    h: int
     vis_rows: np.ndarray
     th_rows: np.ndarray
-    specific_visible: list = field(default_factory=list)
-    specific_thermal: list = field(default_factory=list)
-    shared: list = field(default_factory=list)
-    gem_in: np.ndarray | None = None     # (N, H, D) post-ReLU descriptor outputs
-    gem_mean: np.ndarray | None = None   # (N, D) mean of x^p
-    pooled: np.ndarray | None = None
-    bn_mu: np.ndarray | None = None
-    bn_var: np.ndarray | None = None
-    bn_ivar: np.ndarray | None = None
-    bn_xhat: np.ndarray | None = None
-    bn_out: np.ndarray | None = None
-    logits: np.ndarray | None = None
+    specific_visible: list  # (input, pre-activation) per layer
+    specific_thermal: list
+    shared: list
+    gem_in: np.ndarray      # (N, H, D) post-ReLU descriptor outputs
+    gem_mean: np.ndarray    # (N, D) mean of x^p
+    pooled: np.ndarray
+    bn_ivar: np.ndarray
+    bn_xhat: np.ndarray
+    bn_out: np.ndarray
+    logits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -221,13 +248,13 @@ def forward(
     flat_modality = np.repeat(modalities, h)
     vis_rows = np.where(flat_modality == VISIBLE)[0]
     th_rows = np.where(flat_modality == THERMAL)[0]
-    tape = Tape(params=params, train=train, n=n, h=h, vis_rows=vis_rows, th_rows=th_rows)
+    records = ([], [], [])
 
     mid_dim = params.shape.specific_widths[-1] if params.shape.specific_widths else d_in
     mid = np.empty((n * h, mid_dim))
-    mid[vis_rows] = _run_stack(params.specific_visible, flat[vis_rows], tape.specific_visible)
-    mid[th_rows] = _run_stack(params.specific_thermal, flat[th_rows], tape.specific_thermal)
-    out = _run_stack(params.shared, mid, tape.shared)
+    mid[vis_rows] = _run_stack(params.specific_visible, flat[vis_rows], records[0])
+    mid[th_rows] = _run_stack(params.specific_thermal, flat[th_rows], records[1])
+    out = _run_stack(params.shared, mid, records[2])
 
     emb = out.shape[1]
     gem_in = out.reshape(n, h, emb)
@@ -252,15 +279,8 @@ def forward(
     bn_out = params.bn_gamma * xhat + params.bn_beta
     logits = bn_out @ params.cls_w + params.cls_b
 
-    tape.gem_in = gem_in
-    tape.gem_mean = gem_mean
-    tape.pooled = pooled
-    tape.bn_mu = mu
-    tape.bn_var = var
-    tape.bn_ivar = ivar
-    tape.bn_xhat = xhat
-    tape.bn_out = bn_out
-    tape.logits = logits
+    tape = Tape(params, train, vis_rows, th_rows, *records,
+                gem_in, gem_mean, pooled, ivar, xhat, bn_out, logits)
     return Forward(pooled=pooled, bn_features=bn_out, logits=logits, tape=tape)
 
 
@@ -269,17 +289,18 @@ def _stack_backward(layers, record, d_out, grads, prefix):
         w, _ = layers[i]
         x, pre = record[i]
         d_pre = d_out * (pre > 0)
-        grads[f"{prefix}.{i}.w"] = x.T @ d_pre
-        grads[f"{prefix}.{i}.b"] = d_pre.sum(axis=0)
+        np.matmul(x.T, d_pre, out=grads[f"{prefix}.{i}.w"])
+        np.add.reduce(d_pre, axis=0, out=grads[f"{prefix}.{i}.b"])
         d_out = d_pre @ w.T
     return d_out
 
 
-def backward(tape: Tape, grad_pooled, grad_logits) -> dict:
+def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
     """Exact gradients of (grad_pooled . pooled + grad_logits . logits).
 
-    Returns a name -> array dict matching the trainable parameters. BN batch
-    statistics are differentiated through in training mode.
+    Returns a gradient buffer laid out like the parameters'; the slots of
+    untrained arrays (BN running statistics, a fixed GeM power) stay 0. BN
+    batch statistics are differentiated through in training mode.
     """
     params = tape.params
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
@@ -292,12 +313,12 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> dict:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match tape logits {tape.logits.shape}"
         )
-    grads: dict[str, np.ndarray] = {}
-    n, h = tape.n, tape.h
+    grads = params.arrays.zeros_like()
+    n, h = tape.gem_in.shape[:2]
 
     # classifier
-    grads["classifier.w"] = tape.bn_out.T @ grad_logits
-    grads["classifier.b"] = grad_logits.sum(axis=0)
+    np.matmul(tape.bn_out.T, grad_logits, out=grads["classifier.w"])
+    np.add.reduce(grad_logits, axis=0, out=grads["classifier.b"])
     d_bn_out = grad_logits @ params.cls_w.T
 
     # batch norm
@@ -368,48 +389,55 @@ def lr_factor(epoch: int, hyper: SgdHyper) -> float:
 
 
 class SgdState:
-    """Per-parameter momentum buffers."""
+    """Momentum buffer, per-element weight decay and a scratch buffer, each
+    the size of the parameter buffer, made on the first step from that
+    step's parameters and hyperparameters: one state serves one run."""
 
     def __init__(self):
-        self.velocity: dict[str, np.ndarray] = {}
+        self.velocity: np.ndarray | None = None
+        self.decay: np.ndarray | None = None
+        self.scratch: np.ndarray | None = None
 
 
 def sgd_step(
     params: EncoderParams,
-    grads: dict,
+    grads: FlatArrays,
     state: SgdState,
     hyper: SgdHyper,
     epoch: int = 0,
 ) -> None:
-    """One momentum-SGD update in place.
+    """One momentum-SGD update in place, over the whole parameter buffer.
 
     Weight decay is added to the raw gradient for every parameter except the
     BN scale/shift and the GeM power; the GeM power is clamped back to >= 1
-    after the update. Non-finite gradients abort the step.
+    after the update. A non-finite gradient aborts the step before any
+    parameter changes. Untrained arrays have zero gradient slots (as
+    :func:`backward` leaves them) and no decay, so they stay as they are.
     """
+    if grads.layout != params.arrays.layout:
+        raise ValueError("gradient layout does not match the parameters")
+    g = grads.buffer
+    if not np.isfinite(g).all():
+        name = grads.name_at(int(np.argmin(np.isfinite(g))))
+        size = grads[name].size
+        bad = int(size - np.isfinite(grads[name]).sum())
+        raise FloatingPointError(f"non-finite gradient in {name!r}: {bad} of {size} entries")
+    if state.velocity is None:
+        state.velocity = np.zeros_like(params.buffer)
+        # no decay on BN scale/shift, the GeM power and the untrained arrays
+        decayed = set(params.trainable_names()) - {"bn.gamma", "bn.beta", "gem_p"}
+        state.decay = np.concatenate([
+            np.full(arr.size, hyper.weight_decay * (name in decayed))
+            for name, arr in params.named_arrays()
+        ])
+        state.scratch = np.empty_like(params.buffer)
     lr = hyper.base_lr * lr_factor(epoch, hyper)
-    arrays = dict(params.named_arrays())
-    for name in params.trainable_names():
-        if name not in grads:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            bad = int(np.size(g) - np.isfinite(g).sum())
-            raise FloatingPointError(
-                f"non-finite gradient in {name!r}: {bad} of {np.size(g)} entries"
-            )
-        arr = arrays[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name!r} shape {arr.shape}")
-        decay = 0.0 if name in ("bn.gamma", "bn.beta", "gem_p") else hyper.weight_decay
-        step = g + decay * arr
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(arr)
-            state.velocity[name] = v
-        v *= hyper.momentum
-        v += step
-        arr -= lr * v
+    arr, v, step = params.buffer, state.velocity, state.scratch
+    np.multiply(state.decay, arr, out=step)
+    step += g
+    v *= hyper.momentum
+    v += step
+    arr -= np.multiply(v, lr, out=step)
     if params.shape.gem_p_learnable and params.gem_p < 1.0:
         params.gem_p[...] = 1.0
 
@@ -419,38 +447,31 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
     Layout: one UTF-8 JSON header line (magic, version, shape metadata, and
     an ordered array table of name/shape/dtype), a newline, then the raw
-    little-endian row-major array blobs concatenated in table order.
+    little-endian row-major array blobs concatenated in table order, which
+    is the parameter buffer's bytes.
     """
-    entries = list(params.named_arrays())
     header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "shape": {
-            "descriptor_dim": params.shape.descriptor_dim,
-            "num_classes": params.shape.num_classes,
-            "specific_widths": list(params.shape.specific_widths),
-            "shared_widths": list(params.shape.shared_widths),
-            "gem_p": params.shape.gem_p,
-            "gem_p_learnable": params.shape.gem_p_learnable,
-            "bn_eps": params.shape.bn_eps,
-            "bn_momentum": params.shape.bn_momentum,
-        },
+        "shape": dataclasses.asdict(params.shape),
         "arrays": [
-            {"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries
+            {"name": name, "shape": list(shape), "dtype": "<f8"}
+            for name, shape in params.arrays.layout
         ],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.buffer.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> EncoderParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises on magic/version mismatch and on any shape disagreement with
-    ``expected_shape`` when one is given.
+    Raises on magic/version mismatch, on an array table that does not match
+    the declared architecture, on a truncated file or bytes after the last
+    blob, and on any shape disagreement with ``expected_shape`` when one is
+    given.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -458,59 +479,31 @@ def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> Encoder
             raise ValueError(f"{path}: not an encoder checkpoint")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        s = header["shape"]
-        shape = EncoderShape(
-            descriptor_dim=s["descriptor_dim"],
-            num_classes=s["num_classes"],
-            specific_widths=tuple(s["specific_widths"]),
-            shared_widths=tuple(s["shared_widths"]),
-            gem_p=s["gem_p"],
-            gem_p_learnable=s["gem_p_learnable"],
-            bn_eps=s["bn_eps"],
-            bn_momentum=s["bn_momentum"],
-        )
+        shape = EncoderShape(**header["shape"])
         if expected_shape is not None and shape != expected_shape:
             raise ValueError(
                 f"{path}: checkpoint shape {shape} does not match expected {expected_shape}"
             )
-        arrays = {}
-        for entry in header["arrays"]:
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated blob for {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
-
-    def stack(prefix):
-        layers = []
-        i = 0
-        while f"{prefix}.{i}.w" in arrays:
-            layers.append((arrays[f"{prefix}.{i}.w"], arrays[f"{prefix}.{i}.b"]))
-            i += 1
-        return layers
-
-    params = EncoderParams(
-        shape=shape,
-        specific_visible=stack("specific_visible"),
-        specific_thermal=stack("specific_thermal"),
-        shared=stack("shared"),
-        gem_p=arrays["gem_p"].reshape(()),
-        bn_gamma=arrays["bn.gamma"],
-        bn_beta=arrays["bn.beta"],
-        bn_running_mean=arrays["bn.running_mean"],
-        bn_running_var=arrays["bn.running_var"],
-        cls_w=arrays["classifier.w"],
-        cls_b=arrays["classifier.b"],
-    )
-    expected_names = [n for n, _ in params.named_arrays()]
-    if [e["name"] for e in header["arrays"]] != expected_names:
-        raise ValueError(f"{path}: array table does not match the declared architecture")
+        params = EncoderParams(shape)
+        table = tuple((e["name"], tuple(e["shape"])) for e in header["arrays"])
+        if table != params.arrays.layout:
+            raise ValueError(f"{path}: array table does not match the declared architecture")
+        blob = fh.read(params.buffer.nbytes)
+        if len(blob) != params.buffer.nbytes:
+            name = params.arrays.name_at(len(blob) // 8)
+            raise ValueError(f"{path}: truncated blob for {name!r}")
+        trailing = len(fh.read())
+        if trailing:
+            raise ValueError(f"{path}: {trailing} trailing bytes after the last array blob")
+    params.buffer[:] = np.frombuffer(blob, dtype="<f8")
     return params
 
 
 __all__ = [
     "EncoderShape",
     "EncoderParams",
+    "FlatArrays",
+    "param_layout",
     "Forward",
     "Tape",
     "SgdHyper",
@@ -518,7 +511,6 @@ __all__ = [
     "init_params",
     "forward",
     "backward",
-    "gem_pool",
     "lr_factor",
     "sgd_step",
     "save_checkpoint",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .data import THERMAL, VISIBLE, FeatureSet
+from .data import CellIndex, FeatureSet, cell_index
 from .kernels import KernelSpec
 from .mmd import MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
@@ -81,28 +81,33 @@ def loss_id(logits, labels) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def hetero_centers(batch: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hetero_centers(
+    batch: FeatureSet, index: CellIndex | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-identity centroids of each modality.
 
     Returns (identities ascending, visible centers, thermal centers).
+    ``index`` is the batch's :func:`~xreid.data.cell_index`, built here when
+    not given. Each centroid sums its rows in row order, starting from the
+    first, which is what numpy's ``mean(axis=0)`` does on two or more
+    feature columns.
     """
-    ids = np.unique(batch.identities)
-    dim = batch.features.shape[1]
-    cv = np.empty((len(ids), dim))
-    ct = np.empty((len(ids), dim))
-    for i, c in enumerate(ids):
-        for modality, out in ((VISIBLE, cv), (THERMAL, ct)):
-            rows = batch.features[(batch.identities == c) & (batch.modalities == modality)]
-            if len(rows) == 0:
-                name = "visible" if modality == VISIBLE else "thermal"
-                raise ValueError(f"identity {c} has no {name} samples")
-            out[i] = rows.mean(axis=0)
-    return ids, cv, ct
+    if index is None:
+        index = cell_index(batch.identities, batch.modalities)
+    gap = index.first_empty()
+    if gap is not None:
+        raise ValueError(f"identity {gap[0]} has no {'thermal' if gap[1] else 'visible'} samples")
+    first = index.starts[:-1]
+    rest = np.delete(index.order, first)
+    sums = batch.features[index.order[first]]
+    np.add.at(sums, index.cell[rest], batch.features[rest])
+    centers = sums / index.counts[:, None]
+    return index.ids, centers[0::2], centers[1::2]
 
 
-def _safe_direction(diff: np.ndarray, dist: float) -> np.ndarray:
-    # subgradient choice at coincident centers: zero direction
-    return diff / dist if dist > 0 else np.zeros_like(diff)
+def _directions(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    # unit rows; subgradient choice at coincident centers: zero direction
+    return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
 
 
 def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> tuple[float, np.ndarray]:
@@ -112,7 +117,8 @@ def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> tuple[float, np.ndarray]
     minimum are broken by a fixed candidate order (ascending identity, visible
     before thermal), and only the first minimizer receives gradient.
     """
-    ids, cv, ct = hetero_centers(batch)
+    index = cell_index(batch.identities, batch.modalities)
+    ids, cv, ct = hetero_centers(batch, index)
     p = len(ids)
     if p < 2:
         raise ValueError(f"hc-tri needs >= 2 identities in the batch, got {p}")
@@ -121,44 +127,35 @@ def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> tuple[float, np.ndarray]
     d_pos = np.linalg.norm(cv - ct, axis=1)
     counters.center_distances.add(p + 2 * p * 2 * (p - 1))
 
-    # anchors: visible centers then thermal; candidates interleaved in the
-    # tie-break order so argmin lands on the first minimizer
-    anchors = np.vstack([cv, ct])
+    # candidates are the centers in cell order, which is the tie-break order,
+    # so argmin lands on the first minimizer; anchors are the visible centers
+    # then the thermal ones
     cand = np.empty((2 * p, cv.shape[1]))
     cand[0::2] = cv
     cand[1::2] = ct
-    diff = anchors[:, None, :] - cand[None, :, :]
+    anchor_cell = np.concatenate([np.arange(0, 2 * p, 2), np.arange(1, 2 * p, 2)])
+    diff = cand[anchor_cell][:, None, :] - cand[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
-    anchor_identity = np.concatenate([np.arange(p), np.arange(p)])
-    cand_identity = np.repeat(np.arange(p), 2)
-    d_masked = np.where(cand_identity[None, :] != anchor_identity[:, None], d, np.inf)
+    d_masked = np.where(anchor_cell[:, None] // 2 != np.arange(2 * p)[None, :] // 2, d, np.inf)
     neg_idx = np.argmin(d_masked, axis=1)
     d_neg = d_masked[np.arange(2 * p), neg_idx]
 
     terms = cfg.margin_rho1 + np.concatenate([d_pos, d_pos]) - d_neg
     loss = float(terms[terms > 0].sum())
 
-    grad_cv = np.zeros_like(cv)
-    grad_ct = np.zeros_like(ct)
-    for a in np.where(terms > 0)[0]:
-        i = int(a % p)
-        u = _safe_direction(cv[i] - ct[i], float(d_pos[i]))
-        grad_cv[i] += u
-        grad_ct[i] -= u
-        k = int(neg_idx[a])
-        j, cand_grad = k // 2, grad_cv if k % 2 == 0 else grad_ct
-        anchor_grad = grad_cv if a < p else grad_ct
-        w = _safe_direction(anchors[a] - cand[k], float(d_neg[a]))
-        anchor_grad[i] -= w
-        cand_grad[j] += w
+    # each active anchor pulls its own pair together and pushes its hardest
+    # negative away; the four updates per anchor are applied in anchor order
+    a = np.flatnonzero(terms > 0)
+    i = a % p
+    u = _directions(cv - ct, d_pos)[i]
+    w = _directions(diff[a, neg_idx[a]], d_neg[a])
+    targets = np.stack([2 * i, 2 * i + 1, anchor_cell[a], neg_idx[a]], axis=1)
+    updates = np.stack([u, -u, -w, w], axis=1).reshape(-1, cv.shape[1])
+    grad_cells = np.zeros_like(cand)
+    np.add.at(grad_cells, targets.ravel(), updates)
 
     # centers are means, so each member feature receives grad / cell size
-    grad = np.zeros_like(batch.features)
-    for i, c in enumerate(ids):
-        for modality, grad_center in ((VISIBLE, grad_cv), (THERMAL, grad_ct)):
-            rows = np.where((batch.identities == c) & (batch.modalities == modality))[0]
-            grad[rows] = grad_center[i] / len(rows)
-    return float(loss), grad
+    return loss, (grad_cells / index.counts[:, None])[index.cell]
 
 
 def loss_total(

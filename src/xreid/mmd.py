@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .data import THERMAL, VISIBLE, FeatureSet
+from .data import THERMAL, VISIBLE, CellIndex, FeatureSet, cell_index
 from .kernels import KernelSpec, mixture_kernel_matrix, resolve_bandwidth, squared_distances
 
 _ESTIMATORS = ("biased", "unbiased")
@@ -84,21 +84,21 @@ class MarginMmdResult:
     class_mmd2: np.ndarray
 
 
-def _engine(x, modalities, groups, ids, spec: KernelSpec, estimator: str, rho=None):
-    """MMD^2 of each group of rows (``groups`` indexes ``ids``, or is all 0
-    when ``ids`` is None), and the value and gradient of the group average
-    over the groups whose MMD^2 exceeds ``rho`` (all when None). Returns
-    ((mmd2, same_x, same_y, cross), active, value, grad)."""
+def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, owner=None):
+    """MMD^2 of each group of rows (one per identity of ``index``), and the
+    value and gradient of the group average over the groups whose MMD^2
+    exceeds ``rho`` (all when None). ``owner`` names a marginal index's one
+    group in errors. Returns ((mmd2, same_x, same_y, cross), active, value,
+    grad)."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    n_groups = 1 if ids is None else len(ids)
-    cell = 2 * groups + (modalities == THERMAL)
-    counts = np.bincount(cell, minlength=2 * n_groups)
+    n_groups = len(index.ids)
+    counts = index.counts
     n, m = counts[0::2], counts[1::2]
-    if not (n.all() and m.all()):
-        g = np.flatnonzero(n * m == 0)[0]
-        owner = "the batch" if ids is None else f"identity {ids[g]}"
-        raise ValueError(f"{owner} has no {'visible' if n[g] == 0 else 'thermal'} features")
+    gap = index.first_empty()
+    if gap is not None:
+        who = owner or f"identity {gap[0]}"
+        raise ValueError(f"{who} has no {'thermal' if gap[1] else 'visible'} features")
     if estimator == "unbiased" and min(n.min(), m.min()) < 2:
         g = np.flatnonzero(np.minimum(n, m) < 2)[0]
         raise ValueError(f"unbiased estimator needs >= 2 samples per set, got {n[g]} and {m[g]}")
@@ -106,9 +106,9 @@ def _engine(x, modalities, groups, ids, spec: KernelSpec, estimator: str, rho=No
     # padded (group, slot) blocks: visible rows in slots [0, s), thermal rows
     # in [s, L), each in batch order; empty slots repeat row 0
     s = int(n.max())
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    slot = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell] + s * (cell % 2)
+    order = index.order
+    cell = index.cell[order]
+    slot = np.arange(len(cell)) - index.starts[cell] + s * (cell % 2)
     rows = np.zeros((n_groups, s + int(m.max())), dtype=np.intp)
     valid = np.zeros(rows.shape, dtype=bool)
     rows[cell // 2, slot] = order
@@ -158,6 +158,13 @@ def _engine(x, modalities, groups, ids, spec: KernelSpec, estimator: str, rho=No
     return (mmd2, same_x, same_y, cross), active, value, grad
 
 
+def _marginal(x, modalities, spec: KernelSpec, estimator: str):
+    # one group holding every row, there even when the rows are not
+    ids = np.zeros(1, dtype=np.int64)
+    index = cell_index(ids.repeat(len(modalities)), modalities, ids=ids)
+    return _engine(x, index, spec, estimator, owner="the batch")
+
+
 def _estimate(xs, ys, spec: KernelSpec, estimator: str) -> MmdEstimate:
     xs, ys = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (xs, ys))
     if xs.shape[0] == 0 or ys.shape[0] == 0:
@@ -165,7 +172,7 @@ def _estimate(xs, ys, spec: KernelSpec, estimator: str) -> MmdEstimate:
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"dimension mismatch: xs has {xs.shape[1]}, ys has {ys.shape[1]}")
     modalities = np.repeat([VISIBLE, THERMAL], [len(xs), len(ys)])
-    terms, _, _, _ = _engine(np.vstack([xs, ys]), modalities, 0 * modalities, None, spec, estimator)
+    terms, _, _, _ = _marginal(np.vstack([xs, ys]), modalities, spec, estimator)
     return MmdEstimate(*(float(t[0]) for t in terms))
 
 
@@ -184,17 +191,14 @@ def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "bia
 
     The unbiased value is the signed U-statistic, not clamped at 0.
     """
-    mods = batch.modalities
-    _, _, value, grad = _engine(batch.features, mods, 0 * mods, None, spec, estimator)
+    _, _, value, grad = _marginal(batch.features, batch.modalities, spec, estimator)
     return LossValue(value, grad)
 
 
 def _per_class(batch: FeatureSet, spec: KernelSpec, estimator: str, rho=None):
-    ids, groups = np.unique(batch.identities, return_inverse=True)
-    (mmd2, _, _, _), active, value, grad = _engine(
-        batch.features, batch.modalities, groups, ids, spec, estimator, rho
-    )
-    return value, grad, int(active.sum()), ids, mmd2
+    index = cell_index(batch.identities, batch.modalities)
+    (mmd2, _, _, _), active, value, grad = _engine(batch.features, index, spec, estimator, rho)
+    return value, grad, int(active.sum()), index.ids, mmd2
 
 
 def loss_mmd_id(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> ClassMmdResult:

@@ -69,8 +69,8 @@ def run_training(
     train_set: DescriptorSet,
 ) -> tuple[EncoderParams, list[EpochStats]]:
     """Train an encoder on the given set under the config; returns params + log."""
-    mapping = class_index(train_set.identities)
-    shape = config.encoder_shape(num_classes=len(mapping))
+    classes = np.unique(train_set.identities)
+    shape = config.encoder_shape(num_classes=len(classes))
     params = init_params(shape, seeds.stream(config.seed, "init"))
     sampler = BatchSampler(train_set, config.batch_spec(), seeds.stream(config.seed, "sampler"))
 
@@ -85,7 +85,6 @@ def run_training(
     state = SgdState()
     epochs = config["train.epochs"]
     batches = sampler.batches_per_epoch()
-    label_of = np.vectorize(mapping.__getitem__)
 
     stats: list[EpochStats] = []
     last_good = params.copy()
@@ -103,7 +102,7 @@ def run_training(
             bundle = loss_total(
                 feats,
                 out.logits,
-                label_of(batch.identities),
+                np.searchsorted(classes, batch.identities),
                 kernel_spec=kernel_spec,
                 margin=margin,
                 hctri=hctri,

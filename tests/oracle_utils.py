@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately naive (scalar loops, math.exp) and shares no
-code with the library implementations it checks.
+Everything here is deliberately naive (scalar loops, math.exp, per-cell and
+per-array loops) and shares no code with the library implementations it
+checks.
 """
 
 import math
@@ -118,3 +119,118 @@ def softmax_ce_oracle(logits, labels):
         lse = mx + math.log(sum(math.exp(v - mx) for v in row))
         total += lse - row[label]
     return total / len(labels)
+
+
+def gem_pool(channel_values, p: float) -> float:
+    """Generalized power mean ((1/H) sum x^p)^(1/p) of nonnegative values."""
+    x = np.asarray(channel_values, dtype=np.float64).ravel()
+    if x.size == 0:
+        raise ValueError("gem_pool needs at least one value")
+    if np.any(x < 0):
+        raise ValueError(f"gem_pool inputs must be nonnegative, got min {x.min()}")
+    if p < 1:
+        raise ValueError(f"gem power must be >= 1, got {p}")
+    return float(np.mean(x ** p) ** (1.0 / p))
+
+
+def sample_batch_reference(dataset, spec, rng):
+    """PK sampler that scans the whole dataset for every cell's pool."""
+    ids = np.unique(dataset.identities)
+    if len(ids) < spec.p:
+        raise ValueError(f"dataset has {len(ids)} identities, batch needs P={spec.p}")
+    chosen = rng.choice(ids, size=spec.p, replace=False)
+    picks = []
+    for identity in chosen:
+        for modality in (VISIBLE, THERMAL):
+            pool = np.where((dataset.identities == identity) & (dataset.modalities == modality))[0]
+            if len(pool) == 0:
+                raise ValueError(f"identity {identity} has no samples of modality {modality}")
+            replace = len(pool) < spec.k
+            picks.append(rng.choice(pool, size=spec.k, replace=replace))
+    return dataset.select(np.concatenate(picks))
+
+
+def hetero_centers_reference(batch):
+    """Per-identity visible and thermal centroids, one masked mean per cell."""
+    ids = np.unique(batch.identities)
+    dim = batch.features.shape[1]
+    cv = np.empty((len(ids), dim))
+    ct = np.empty((len(ids), dim))
+    for i, c in enumerate(ids):
+        for modality, out in ((VISIBLE, cv), (THERMAL, ct)):
+            rows = batch.features[(batch.identities == c) & (batch.modalities == modality)]
+            if len(rows) == 0:
+                name = "visible" if modality == VISIBLE else "thermal"
+                raise ValueError(f"identity {c} has no {name} samples")
+            out[i] = rows.mean(axis=0)
+    return ids, cv, ct
+
+
+def _unit(diff, dist):
+    return diff / dist if dist > 0 else np.zeros_like(diff)
+
+
+def loss_hc_tri_reference(batch, margin):
+    """Hetero-center triplet loss with one gradient update per active anchor."""
+    ids, cv, ct = hetero_centers_reference(batch)
+    p = len(ids)
+    if p < 2:
+        raise ValueError(f"hc-tri needs >= 2 identities in the batch, got {p}")
+    d_pos = np.linalg.norm(cv - ct, axis=1)
+    anchors = np.vstack([cv, ct])
+    cand = np.empty((2 * p, cv.shape[1]))
+    cand[0::2] = cv
+    cand[1::2] = ct
+    diff = anchors[:, None, :] - cand[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    anchor_identity = np.concatenate([np.arange(p), np.arange(p)])
+    cand_identity = np.repeat(np.arange(p), 2)
+    d_masked = np.where(cand_identity[None, :] != anchor_identity[:, None], d, np.inf)
+    neg_idx = np.argmin(d_masked, axis=1)
+    d_neg = d_masked[np.arange(2 * p), neg_idx]
+    terms = margin + np.concatenate([d_pos, d_pos]) - d_neg
+    loss = float(terms[terms > 0].sum())
+
+    grad_cv = np.zeros_like(cv)
+    grad_ct = np.zeros_like(ct)
+    for a in np.where(terms > 0)[0]:
+        i = int(a % p)
+        u = _unit(cv[i] - ct[i], float(d_pos[i]))
+        grad_cv[i] += u
+        grad_ct[i] -= u
+        k = int(neg_idx[a])
+        j, cand_grad = k // 2, grad_cv if k % 2 == 0 else grad_ct
+        anchor_grad = grad_cv if a < p else grad_ct
+        w = _unit(anchors[a] - cand[k], float(d_neg[a]))
+        anchor_grad[i] -= w
+        cand_grad[j] += w
+
+    grad = np.zeros_like(batch.features)
+    for i, c in enumerate(ids):
+        for modality, grad_center in ((VISIBLE, grad_cv), (THERMAL, grad_ct)):
+            rows = np.where((batch.identities == c) & (batch.modalities == modality))[0]
+            grad[rows] = grad_center[i] / len(rows)
+    return loss, grad
+
+
+def sgd_step_reference(arrays, trainable, grads, velocity, hyper, lr, gem_p_learnable):
+    """Momentum SGD over a name -> array dict, one array at a time.
+
+    Updates ``arrays`` and ``velocity`` (name -> array dicts) in place.
+    """
+    for name in trainable:
+        g = np.asarray(grads[name], dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            bad = int(np.size(g) - np.isfinite(g).sum())
+            raise FloatingPointError(
+                f"non-finite gradient in {name!r}: {bad} of {np.size(g)} entries"
+            )
+        arr = arrays[name]
+        decay = 0.0 if name in ("bn.gamma", "bn.beta", "gem_p") else hyper.weight_decay
+        step = g + decay * arr
+        v = velocity.setdefault(name, np.zeros_like(arr))
+        v *= hyper.momentum
+        v += step
+        arr -= lr * v
+    if gem_p_learnable and arrays["gem_p"] < 1.0:
+        arrays["gem_p"][...] = 1.0

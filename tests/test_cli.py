@@ -198,6 +198,14 @@ class TestSweep:
         assert "no dataset manifest at" in capsys.readouterr().err
         assert not (out / "dataset").exists()
 
+    def test_negative_rho_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep-margin", "--rhos=1,-1", "--set", f"output.dir={out}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: margin rho must be >= 0, got -1.0\n"
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_sweep_table(self, tmp_path):
         cfg = tiny_config(tmp_path, **{"train.epochs": 1, "eval.trials": 2})

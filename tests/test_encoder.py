@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle_utils import fd_gradient, rel_error
+from oracle_utils import fd_gradient, gem_pool, rel_error
 from xreid.data import FeatureSet, THERMAL, VISIBLE
 from xreid.encoder import (
     EncoderParams,
@@ -10,7 +10,6 @@ from xreid.encoder import (
     SgdState,
     backward,
     forward,
-    gem_pool,
     init_params,
     load_checkpoint,
     lr_factor,
@@ -74,8 +73,9 @@ class TestForward:
         shape = EncoderShape(descriptor_dim=3, num_classes=2, specific_widths=(3,),
                              shared_widths=(), gem_p=1.0)
         params = init_params(shape, np.random.default_rng(0))
-        params.specific_visible[0] = (np.eye(3), np.zeros(3))
-        params.specific_thermal[0] = (np.eye(3), np.zeros(3))
+        for w, b in (params.specific_visible[0], params.specific_thermal[0]):
+            w[...] = np.eye(3)
+            b[...] = 0.0
         descriptors = np.abs(np.random.default_rng(1).standard_normal((4, 1, 3)))
         out = forward(params, descriptors, np.array([0, 1, 0, 1]), train=False)
         assert np.allclose(out.pooled, descriptors[:, 0, :], atol=1e-12)
@@ -161,7 +161,8 @@ class TestBackward:
                              shared_widths=(), gem_p=1.0)
         params = init_params(shape, np.random.default_rng(8))
         w = np.array([[0.7, -0.3], [0.2, 0.5]])
-        params.specific_visible[0] = (w.copy(), np.zeros(2))
+        params.specific_visible[0][0][...] = w
+        params.specific_visible[0][1][...] = 0.0
         x = np.array([[[1.0, 2.0]], [[0.5, -1.0]]])  # (2 samples, H=1, 2)
         out = forward(params, x, np.array([VISIBLE, VISIBLE]), train=False)
         u = np.array([[1.0, -2.0], [0.5, 1.0]])
@@ -211,7 +212,7 @@ class TestSgd:
         rng = np.random.default_rng(12)
         params = small_params(rng)
         w_before = params.shared[0][0].copy()
-        grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        grads = params.arrays.zeros_like()
         g = np.ones_like(w_before)
         grads["shared.0.w"] = g
         hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0, warmup_epochs=0, total_epochs=100)
@@ -227,9 +228,10 @@ class TestSgd:
         w0 = w.copy()
         g1 = np.full_like(w, 2.0)
         g2 = np.full_like(w, -1.0)
-        zero = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-        sgd_step(params, {**zero, "classifier.b": g1}, state, hyper, epoch=1)
-        sgd_step(params, {**zero, "classifier.b": g2}, state, hyper, epoch=1)
+        for g in (g1, g2):
+            grads = params.arrays.zeros_like()
+            grads["classifier.b"] = g
+            sgd_step(params, grads, state, hyper, epoch=1)
         # v1 = g1, v2 = 0.9 g1 + g2; w = w0 - lr (v1 + v2)
         expected = w0 - (g1 + 0.9 * g1 + g2)
         assert np.allclose(w, expected, atol=1e-12)
@@ -239,7 +241,7 @@ class TestSgd:
         params = small_params(rng)
         params.bn_gamma[...] = 2.0
         params.cls_b[...] = 2.0
-        zero = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        zero = params.arrays.zeros_like()
         hyper = SgdHyper(base_lr=1.0, momentum=0.0, weight_decay=0.1, warmup_epochs=0, total_epochs=10)
         sgd_step(params, zero, SgdState(), hyper, epoch=1)
         assert np.all(params.bn_gamma == 2.0)
@@ -258,7 +260,7 @@ class TestSgd:
     def test_nonfinite_gradient_aborts(self):
         rng = np.random.default_rng(15)
         params = small_params(rng)
-        grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+        grads = params.arrays.zeros_like()
         grads["shared.0.w"] = np.full_like(params.shared[0][0], np.nan)
         with pytest.raises(FloatingPointError, match="shared.0.w"):
             sgd_step(params, grads, SgdState(), SgdHyper(base_lr=0.1), epoch=0)
@@ -319,6 +321,15 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(19)
+        params = small_params(rng)
+        path = tmp_path / "f.bin"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match=r"f\.bin: 8 trailing bytes after the last array blob"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
