@@ -16,12 +16,11 @@ linear warmup and two step decays.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -389,14 +388,13 @@ def lr_factor(epoch: int, hyper: SgdHyper) -> float:
 
 
 class SgdState:
-    """Momentum buffer, per-element weight decay and a scratch buffer, each
-    the size of the parameter buffer, made on the first step from that
-    step's parameters and hyperparameters: one state serves one run."""
+    """Momentum buffer and per-element weight decay, each the size of the
+    parameter buffer, made on the first step from that step's parameters
+    and hyperparameters: one state serves one run."""
 
     def __init__(self):
         self.velocity: np.ndarray | None = None
         self.decay: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None
 
 
 def sgd_step(
@@ -430,10 +428,9 @@ def sgd_step(
             np.full(arr.size, hyper.weight_decay * (name in decayed))
             for name, arr in params.named_arrays()
         ])
-        state.scratch = np.empty_like(params.buffer)
     lr = hyper.base_lr * lr_factor(epoch, hyper)
-    arr, v, step = params.buffer, state.velocity, state.scratch
-    np.multiply(state.decay, arr, out=step)
+    arr, v = params.buffer, state.velocity
+    step = state.decay * arr
     step += g
     v *= hyper.momentum
     v += step
@@ -453,7 +450,7 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "shape": dataclasses.asdict(params.shape),
+        "shape": asdict(params.shape),
         "arrays": [
             {"name": name, "shape": list(shape), "dtype": "<f8"}
             for name, shape in params.arrays.layout
