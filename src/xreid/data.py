@@ -23,7 +23,6 @@ VISIBLE = 0
 THERMAL = 1
 
 _MODALITY_TOKEN = {VISIBLE: "v", THERMAL: "t"}
-_TOKEN_MODALITY = {"v": VISIBLE, "t": THERMAL}
 
 _DUMP_VERSION = 1
 _TRAIN_FRACTION = 0.8
@@ -320,31 +319,58 @@ def dump(dataset: DescriptorSet, path) -> None:
 
 
 def load(path) -> DescriptorSet:
-    """Read a descriptor set written by :func:`dump`."""
+    """Read a descriptor set written by :func:`dump`.
+
+    The rows are parsed by numpy's C text reader into one structured array,
+    without a Python object per value. A malformed header, a row of the
+    wrong length or with an unknown modality token, and a non-finite value
+    each raise ``ValueError`` naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing dataset header line")
-        fields = dict(part.split("=", 1) for part in header[1:].split(","))
-        version = int(fields["version"])
+        fields = dict(part.partition("=")[::2] for part in header[1:].split(","))
+        try:
+            version, h, d = (int(fields[key]) for key in ("version", "H", "D_in"))
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}: dataset header {header!r} needs integer version, H and D_in"
+            ) from None
         if version != _DUMP_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        h, d = int(fields["H"]), int(fields["D_in"])
 
-        identities, modalities, rows = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + h * d:
-                raise ValueError(f"{path}: row has {len(parts)} fields, expected {2 + h * d}")
-            identities.append(int(parts[0]))
-            modalities.append(_TOKEN_MODALITY[parts[1]])
-            rows.append([float(v) for v in parts[2:]])
+        row = np.dtype([
+            ("identity", np.int64),
+            ("token", "U2"),  # two characters, so that a longer token stays invalid
+            ("values", np.float64, (h * d,)),
+        ])
+        body = fh.tell()
+        if not fh.read(1):  # header only: an empty set (loadtxt would warn)
+            rows = np.empty(0, dtype=row)
+        else:
+            fh.seek(body)
+            try:
+                rows = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                reason = str(exc).partition(";")[0]  # drop loadtxt's usecols hint
+                raise ValueError(
+                    f"{path}: {reason}; a row is identity,v|t,<H*D_in values>: {2 + h * d} fields"
+                ) from None
 
-    descriptors = np.asarray(rows, dtype=np.float64).reshape(len(rows), h, d)
-    return DescriptorSet(descriptors, np.asarray(identities), np.asarray(modalities))
+    thermal = rows["token"] == _MODALITY_TOKEN[THERMAL]
+    bad = ~thermal & (rows["token"] != _MODALITY_TOKEN[VISIBLE])
+    if bad.any():
+        i = int(np.argmax(bad))
+        token = str(rows["token"][i])
+        raise ValueError(f"{path}: sample {i} has modality token {token!r}, not v or t")
+    finite = np.isfinite(rows["values"]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite descriptor value in sample {np.argmin(finite)}")
+    # copies, so that the structured rows are freed
+    descriptors = np.ascontiguousarray(rows["values"]).reshape(len(rows), h, d)
+    modalities = np.where(thermal, THERMAL, VISIBLE)
+    return DescriptorSet(descriptors, rows["identity"].copy(), modalities)
 
 
 __all__ = [

@@ -187,10 +187,11 @@ def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
     return params
 
 
-def _run_stack(layers, x, record):
+def _run_stack(layers, x, record=None):
     for w, b in layers:
         pre = x @ w + b
-        record.append((x, pre))
+        if record is not None:
+            record.append((x, pre))
         x = np.maximum(pre, 0.0)
     return x
 
@@ -223,17 +224,12 @@ class Forward:
     tape: Tape
 
 
-def forward(
-    params: EncoderParams,
-    descriptors,
-    modalities,
-    train: bool = True,
-) -> Forward:
-    """Run the two-stream encoder over a batch of descriptor grids.
+def _pool(params: EncoderParams, descriptors, modalities, records=(None, None, None)):
+    """The dense stacks, then GeM pooling over each sample's H descriptors.
 
-    In training mode BN uses batch statistics and updates the running ones in
-    place; in eval mode it uses the stored running statistics and the pass is
-    exactly per-sample.
+    Returns the flat rows of each modality, the GeM input, its mean of x^p
+    and the pooled features. With ``records`` (one list per stack: visible,
+    thermal, shared) each layer's (input, pre-activation) is appended.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     modalities = np.asarray(modalities)
@@ -247,7 +243,6 @@ def forward(
     flat_modality = np.repeat(modalities, h)
     vis_rows = np.where(flat_modality == VISIBLE)[0]
     th_rows = np.where(flat_modality == THERMAL)[0]
-    records = ([], [], [])
 
     mid_dim = params.shape.specific_widths[-1] if params.shape.specific_widths else d_in
     mid = np.empty((n * h, mid_dim))
@@ -255,13 +250,32 @@ def forward(
     mid[th_rows] = _run_stack(params.specific_thermal, flat[th_rows], records[1])
     out = _run_stack(params.shared, mid, records[2])
 
-    emb = out.shape[1]
-    gem_in = out.reshape(n, h, emb)
+    gem_in = out.reshape(n, h, out.shape[1])
     p = float(params.gem_p)
     gem_mean = np.mean(gem_in ** p, axis=1)
-    pooled = gem_mean ** (1.0 / p)
+    return vis_rows, th_rows, gem_in, gem_mean, gem_mean ** (1.0 / p)
 
-    eps = params.shape.bn_eps
+
+def _batch_norm(params: EncoderParams, pooled, mu, var):
+    ivar = 1.0 / np.sqrt(var + params.shape.bn_eps)
+    xhat = (pooled - mu) * ivar
+    return ivar, xhat, params.bn_gamma * xhat + params.bn_beta
+
+
+def forward(
+    params: EncoderParams,
+    descriptors,
+    modalities,
+    train: bool = True,
+) -> Forward:
+    """Run the two-stream encoder over a batch of descriptor grids.
+
+    In training mode BN uses batch statistics and updates the running ones in
+    place; in eval mode it uses the stored running statistics and the pass is
+    exactly per-sample.
+    """
+    records = ([], [], [])
+    vis_rows, th_rows, gem_in, gem_mean, pooled = _pool(params, descriptors, modalities, records)
     if train:
         mu = pooled.mean(axis=0)
         var = pooled.var(axis=0)
@@ -273,9 +287,7 @@ def forward(
     else:
         mu = params.bn_running_mean
         var = params.bn_running_var
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (pooled - mu) * ivar
-    bn_out = params.bn_gamma * xhat + params.bn_beta
+    ivar, xhat, bn_out = _batch_norm(params, pooled, mu, var)
     logits = bn_out @ params.cls_w + params.cls_b
 
     tape = Tape(params, train, vis_rows, th_rows, *records,
@@ -283,15 +295,32 @@ def forward(
     return Forward(pooled=pooled, bn_features=bn_out, logits=logits, tape=tape)
 
 
-def _stack_backward(layers, record, d_out, grads, prefix):
+def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> np.ndarray:
+    """Eval-mode features of a batch: the pooled ones, or with ``bn`` the
+    ones batch-normalized by the running statistics.
+
+    The values equal ``forward(..., train=False)``'s ``pooled`` and
+    ``bn_features`` bit for bit; no logits are computed and no layer's
+    activations are kept for a backward pass.
+    """
+    pooled = _pool(params, descriptors, modalities)[-1]
+    if not bn:
+        return pooled
+    return _batch_norm(params, pooled, params.bn_running_mean, params.bn_running_var)[2]
+
+
+def _stack_backward(layers, record, d_out, grads, prefix, input_grad=True):
+    # the gradient at the stack's input, or None without ``input_grad``,
+    # which skips the first layer's d_pre @ w.T
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         x, pre = record[i]
         d_pre = d_out * (pre > 0)
         np.matmul(x.T, d_pre, out=grads[f"{prefix}.{i}.w"])
         np.add.reduce(d_pre, axis=0, out=grads[f"{prefix}.{i}.b"])
-        d_out = d_pre @ w.T
-    return d_out
+        if i > 0 or input_grad:
+            d_out = d_pre @ w.T
+    return d_out if input_grad else None
 
 
 def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
@@ -353,11 +382,14 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
 
     d_shared_out = d_gem_in.reshape(n * h, -1)
     d_mid = _stack_backward(params.shared, tape.shared, d_shared_out, grads, "shared")
+    # the descriptors take no gradient
     _stack_backward(
-        params.specific_visible, tape.specific_visible, d_mid[tape.vis_rows], grads, "specific_visible"
+        params.specific_visible, tape.specific_visible, d_mid[tape.vis_rows],
+        grads, "specific_visible", input_grad=False,
     )
     _stack_backward(
-        params.specific_thermal, tape.specific_thermal, d_mid[tape.th_rows], grads, "specific_thermal"
+        params.specific_thermal, tape.specific_thermal, d_mid[tape.th_rows],
+        grads, "specific_thermal", input_grad=False,
     )
     return grads
 
@@ -507,6 +539,7 @@ __all__ = [
     "SgdState",
     "init_params",
     "forward",
+    "embed",
     "backward",
     "lr_factor",
     "sgd_step",

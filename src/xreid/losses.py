@@ -110,14 +110,19 @@ def _directions(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
 
 
-def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> tuple[float, np.ndarray]:
+def loss_hc_tri(
+    batch: FeatureSet, cfg: HcTriConfig, index: CellIndex | None = None
+) -> tuple[float, np.ndarray]:
     """Hetero-center triplet loss with batch-hard negative mining over centers.
 
     Hinge terms at exactly zero are inactive; ties in the hardest-negative
     minimum are broken by a fixed candidate order (ascending identity, visible
     before thermal), and only the first minimizer receives gradient.
+    ``index`` is the batch's :func:`~xreid.data.cell_index`, built here when
+    not given.
     """
-    index = cell_index(batch.identities, batch.modalities)
+    if index is None:
+        index = cell_index(batch.identities, batch.modalities)
     ids, cv, ct = hetero_centers(batch, index)
     p = len(ids)
     if p < 2:
@@ -175,7 +180,8 @@ def loss_total(
     ``mmd_variant`` selects which distribution-alignment loss the
     ``lambda_margin_mmd`` weight applies to (the margin-gated one by default;
     ``"id"`` and ``"marginal"`` exist for ablations, ``"none"`` for pure
-    baselines). Terms with zero weight are skipped outright.
+    baselines). Terms with zero weight are skipped outright. The batch's
+    cell index is built once and shared by the per-class MMD and hc-tri.
     """
     if mmd_variant not in MMD_VARIANTS:
         raise ValueError(f"mmd_variant must be one of {MMD_VARIANTS}, got {mmd_variant!r}")
@@ -190,6 +196,7 @@ def loss_total(
     hctri_term = 0.0
     active_classes = None
     class_mmd2 = None
+    index = cell_index(batch.identities, batch.modalities)
 
     if weights.lambda_id != 0.0:
         id_term, g = loss_id(logits, labels)
@@ -197,11 +204,11 @@ def loss_total(
 
     if weights.lambda_margin_mmd != 0.0 and mmd_variant != "none":
         if mmd_variant == "margin_id":
-            res = loss_margin_mmd_id(batch, kernel_spec, margin, estimator)
+            res = loss_margin_mmd_id(batch, kernel_spec, margin, estimator, index)
             active_classes = res.active_classes
             class_mmd2 = res.class_mmd2
         elif mmd_variant == "id":
-            res = loss_mmd_id(batch, kernel_spec, estimator)
+            res = loss_mmd_id(batch, kernel_spec, estimator, index)
             class_mmd2 = res.class_mmd2
         else:
             res = loss_mmd_marginal(batch, kernel_spec, estimator)
@@ -209,7 +216,7 @@ def loss_total(
         grad_pooled += weights.lambda_margin_mmd * res.grad
 
     if weights.lambda_hctri != 0.0:
-        hctri_term, g = loss_hc_tri(batch, hctri)
+        hctri_term, g = loss_hc_tri(batch, hctri, index)
         grad_pooled += weights.lambda_hctri * g
 
     total = (

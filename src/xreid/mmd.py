@@ -195,19 +195,26 @@ def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "bia
     return LossValue(value, grad)
 
 
-def _per_class(batch: FeatureSet, spec: KernelSpec, estimator: str, rho=None):
-    index = cell_index(batch.identities, batch.modalities)
+def _per_class(batch: FeatureSet, spec: KernelSpec, estimator: str, rho=None, index=None):
+    if index is None:
+        index = cell_index(batch.identities, batch.modalities)
     (mmd2, _, _, _), active, value, grad = _engine(batch.features, index, spec, estimator, rho)
     return value, grad, int(active.sum()), index.ids, mmd2
 
 
-def loss_mmd_id(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> ClassMmdResult:
+def loss_mmd_id(
+    batch: FeatureSet,
+    spec: KernelSpec,
+    estimator: str = "biased",
+    index: CellIndex | None = None,
+) -> ClassMmdResult:
     """Average per-identity MMD^2 between modalities, with gradients.
 
     Each identity gets its own median-heuristic bandwidth; the unbiased
-    average is signed, not clamped at 0.
+    average is signed, not clamped at 0. ``index`` is the batch's
+    :func:`~xreid.data.cell_index`, built here when not given.
     """
-    value, grad, _, ids, mmd2 = _per_class(batch, spec, estimator)
+    value, grad, _, ids, mmd2 = _per_class(batch, spec, estimator, index=index)
     return ClassMmdResult(value, grad, ids, mmd2)
 
 
@@ -216,16 +223,18 @@ def loss_margin_mmd_id(
     spec: KernelSpec,
     margin: MarginConfig,
     estimator: str = "biased",
+    index: CellIndex | None = None,
 ) -> MarginMmdResult:
     """Margin-gated class-conditional MMD loss.
 
     A class contributes its full MMD^2 while MMD^2 - rho > 0 and exactly
     zero (no gradient) otherwise; the loss is the class average of the
     surviving terms. At rho = 0 no class is gated, for either estimator, so
-    the result equals :func:`loss_mmd_id` bitwise.
+    the result equals :func:`loss_mmd_id` bitwise. ``index`` is as for
+    :func:`loss_mmd_id`.
     """
     rho = margin.rho if margin.rho > 0 else None
-    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, rho)
+    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, rho, index)
     return MarginMmdResult(value, grad, active, ids, mmd2)
 
 

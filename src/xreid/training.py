@@ -16,7 +16,7 @@ import numpy as np
 from . import seeds
 from .config import ExperimentConfig
 from .data import BatchSampler, DescriptorSet, FeatureSet
-from .encoder import EncoderParams, SgdState, backward, forward, init_params, sgd_step
+from .encoder import EncoderParams, SgdState, backward, embed, forward, init_params, sgd_step
 from .losses import loss_total
 
 LOG_COLUMNS = (
@@ -154,15 +154,19 @@ def encode_dataset(
     features: str = "pooled",
     chunk: int = 512,
 ) -> FeatureSet:
-    """Eval-mode forward over a whole dataset, in chunks."""
+    """Eval-mode features of a whole dataset, in chunks.
+
+    Each chunk's features (see :func:`~xreid.encoder.embed`) are written into
+    one preallocated (N, D) array, so only one chunk's activations are alive
+    at a time.
+    """
     if features not in ("pooled", "bn"):
         raise ValueError(f"features must be 'pooled' or 'bn', got {features!r}")
-    parts = []
+    out = np.empty((len(dataset), params.shape.embedding_dim))
     for start in range(0, len(dataset), chunk):
-        sl = slice(start, min(start + chunk, len(dataset)))
-        out = forward(params, dataset.descriptors[sl], dataset.modalities[sl], train=False)
-        parts.append(out.pooled if features == "pooled" else out.bn_features)
-    return FeatureSet(np.vstack(parts), dataset.identities, dataset.modalities)
+        sl = slice(start, start + chunk)
+        out[sl] = embed(params, dataset.descriptors[sl], dataset.modalities[sl], features == "bn")
+    return FeatureSet(out, dataset.identities, dataset.modalities)
 
 
 __all__ = [

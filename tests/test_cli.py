@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from xreid import counters
-from xreid.cli import cmd_eval, cmd_generate, cmd_sweep_margin, cmd_train, load_dataset, main
+from xreid.cli import (
+    _sha256,
+    cmd_eval,
+    cmd_generate,
+    cmd_sweep_margin,
+    cmd_train,
+    load_dataset,
+    main,
+)
 from xreid.config import ExperimentConfig
 
 
@@ -78,6 +86,30 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dataset checksum mismatch for " + corrupt)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value,message", [
+        (0, "bad-header", "needs integer version, H and D_in"),
+        (1, "x", "modality token 'x'"),
+        (2, "nan", "non-finite descriptor value in sample 0"),
+    ])
+    def test_bad_split_named_in_one_error_line(self, tmp_path, capsys, field, value, message):
+        # a malformed train.csv with a matching checksum fails at load
+        out = cmd_generate(tiny_config(tmp_path))
+        lines = (out / "train.csv").read_text().splitlines(keepends=True)
+        if field == 0:
+            lines[0] = lines[0].replace("version=1,", "")
+        else:
+            parts = lines[1].split(",")
+            parts[field] = value
+            lines[1] = ",".join(parts)
+        (out / "train.csv").write_text("".join(lines))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["train.csv"] = _sha256(out / "train.csv")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--set", f"output.dir={tmp_path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'train.csv'}: ") and message in err
         assert err.count("\n") == 1
 
 

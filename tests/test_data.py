@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,3 +213,59 @@ class TestDumpLoad:
         path.write_text("#version=1,H=2,D_in=2\n0,v,1.0,2.0\n")
         with pytest.raises(ValueError, match="fields"):
             load(path)
+
+    def test_round_trip_bit_exact_on_edge_floats(self, tmp_path):
+        edge = [5e-324, -0.0, 1e16, 1e-05, np.finfo(np.float64).max, -2.2250738585072014e-308]
+        descriptors = np.array(edge + [0.1, -1.5]).reshape(2, 2, 2)
+        dataset = DescriptorSet(descriptors, np.array([3, 3]), np.array([VISIBLE, THERMAL]))
+        path = tmp_path / "edge.csv"
+        dump(dataset, path)
+        loaded = load(path)
+        assert loaded.descriptors.tobytes() == descriptors.tobytes()  # -0.0 keeps its sign
+        assert loaded.identities.tolist() == [3, 3]
+        assert loaded.modalities.tolist() == [VISIBLE, THERMAL]
+
+    @pytest.mark.parametrize("header", ["#H=2,D_in=2", "#version=1,D_in=2", "#version=1,H=2",
+                                        "#version=1,H=two,D_in=2"])
+    def test_header_without_integer_field_names_path(self, tmp_path, header):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n0,v,1.0,2.0,3.0,4.0\n")
+        with pytest.raises(ValueError, match="header.csv: dataset header .* needs integer"):
+            load(path)
+
+    def test_unknown_modality_token_names_path(self, tmp_path):
+        path = tmp_path / "token.csv"
+        path.write_text("#version=1,H=1,D_in=2\n0,v,1.0,2.0\n0,x,1.0,2.0\n")
+        with pytest.raises(ValueError, match="token.csv: .*'x'"):
+            load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"#version=1,H=1,D_in=2\n0,v,1.0,2.0\n0,t,{bad},2.0\n")
+        with pytest.raises(ValueError, match="nonfinite.csv: non-finite descriptor value in sample 1"):
+            load(path)
+
+    def test_header_only_split_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("#version=1,H=3,D_in=2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load(path)
+        assert loaded.descriptors.shape == (0, 3, 2)
+        assert len(loaded.identities) == len(loaded.modalities) == 0
+
+    def test_load_peak_memory_bounded(self, tmp_path):
+        # one structured parse plus one copy of the descriptors: no Python
+        # float per value (a per-value parse peaks above 5x the arrays)
+        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=20, seed=2)
+        path = tmp_path / "train.csv"
+        dump(generate(spec)[0], path)
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = sum(a.nbytes for a in (loaded.descriptors, loaded.identities, loaded.modalities))
+        assert peak <= 2 * array_bytes + 64 * 1024

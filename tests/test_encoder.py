@@ -9,6 +9,7 @@ from xreid.encoder import (
     SgdHyper,
     SgdState,
     backward,
+    embed,
     forward,
     init_params,
     load_checkpoint,
@@ -108,6 +109,16 @@ class TestForward:
         one = forward(params, descriptors[2:3], modalities[2:3], train=False)
         assert np.allclose(full.logits[2], one.logits[0], atol=1e-12)
         assert np.allclose(full.bn_features[2], one.bn_features[0], atol=1e-12)
+
+    def test_embed_equals_eval_forward_bitwise(self):
+        rng = np.random.default_rng(9)
+        params = small_params(rng)
+        params.bn_running_mean[...] = rng.standard_normal(params.bn_running_mean.shape)
+        params.bn_running_var[...] = rng.uniform(0.5, 2.0, params.bn_running_var.shape)
+        descriptors, modalities, _ = small_batch(rng)
+        out = forward(params, descriptors, modalities, train=False)
+        assert np.array_equal(embed(params, descriptors, modalities), out.pooled)
+        assert np.array_equal(embed(params, descriptors, modalities, bn=True), out.bn_features)
 
     def test_same_modality_permutation_permutes_pooled(self):
         rng = np.random.default_rng(5)

@@ -321,6 +321,33 @@ class TestLossTotal:
         assert bundle.margin_mmd_term == loss_mmd_marginal(batch, SINGLE).value
         assert bundle.active_classes is None
 
+    @pytest.mark.parametrize("variant", ["margin_id", "id"])
+    def test_one_cell_index_per_call(self, monkeypatch, variant):
+        import xreid.losses as losses_module
+        import xreid.mmd as mmd_module
+        from xreid.mmd import loss_margin_mmd_id, loss_mmd_id
+
+        rng = np.random.default_rng(14)
+        batch, logits, labels = self.setup_batch(rng)
+        weights = LossWeights()
+        if variant == "margin_id":
+            mmd = loss_margin_mmd_id(batch, SINGLE, MarginConfig(0.0))
+        else:
+            mmd = loss_mmd_id(batch, SINGLE)
+        _, hc_grad = loss_hc_tri(batch, HcTriConfig(0.3))
+
+        calls = []
+        build = losses_module.cell_index
+        monkeypatch.setattr(losses_module, "cell_index", lambda *a: calls.append(1) or build(*a))
+        monkeypatch.setattr(mmd_module, "cell_index", None)  # the index comes from loss_total
+        bundle = loss_total(batch, logits, labels, **self.kwargs(weights, variant=variant))
+        assert len(calls) == 1
+        expected = np.zeros_like(batch.features)
+        expected += weights.lambda_margin_mmd * mmd.grad
+        expected += weights.lambda_hctri * hc_grad
+        assert np.array_equal(bundle.grad_pooled, expected)
+        assert bundle.margin_mmd_term == mmd.value
+
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_id=-1.0)

@@ -1,11 +1,13 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xreid import seeds
 from xreid.config import ExperimentConfig
-from xreid.data import generate
+from xreid.data import SyntheticSpec, generate
+from xreid.encoder import EncoderShape, embed, init_params
 from xreid.training import (
     LOG_COLUMNS,
     TrainingDiverged,
@@ -75,6 +77,29 @@ def test_divergence_carries_last_good_params():
     assert info.value.last_good is not None
     for _, arr in info.value.last_good.named_arrays():
         assert np.all(np.isfinite(arr))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_dataset_keeps_one_chunk_alive():
+    # the output array plus one chunk's features pass; holding a chunk's
+    # activations while the next one runs would add a second chunk
+    _, test = generate(SyntheticSpec(num_identities=20, samples_per_identity_per_modality=60, seed=4))
+    params = init_params(EncoderShape(descriptor_dim=8, num_classes=800), np.random.default_rng(0))
+    chunk = 200
+    _, one_chunk = _traced_peak(
+        lambda: embed(params, test.descriptors[:chunk], test.modalities[:chunk])
+    )
+    feats, peak = _traced_peak(lambda: encode_dataset(params, test, chunk=chunk))
+    assert len(test) == 4 * 2 * 60
+    assert peak <= feats.features.nbytes + 1.1 * one_chunk
 
 
 @pytest.mark.slow
