@@ -30,7 +30,7 @@ print(f"pairwise d^2 of {{0, 1, 3}} are {{1, 4, 9}} -> bandwidth {median_heurist
 print("\n== Gram matrix with a two-scale mixture ==")
 spec2 = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0, 2.0))
 g = gram([[0.0]], [[2.0]], spec2)
-print(f"(exp(-1) + exp(-0.5)) / 2 = {g.values[0, 0]:.6f}")
+print(f"(exp(-1) + exp(-0.5)) / 2 = {g[0, 0]:.6f}")
 
 print("\n== MMD^2, biased vs unbiased ==")
 single = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))

@@ -35,15 +35,15 @@ batch = FeatureSet(np.array(feats), np.array(ids), np.array(mods))
 logits = rng.standard_normal((len(batch), 3))
 
 print("== Identity cross-entropy ==")
-value, _ = loss_id(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
+value = loss_id(np.zeros((4, 3)), np.array([0, 1, 2, 0])).value
 print(f"uniform logits over 3 classes -> ln(3) = {value:.6f}")
 
 print("\n== Hetero-center triplet loss ==")
 ids_sorted, cv, ct = hetero_centers(batch)
 print("cross-modal center distances per identity:",
       np.round(np.linalg.norm(cv - ct, axis=1), 3))
-value, grad = loss_hc_tri(batch, HcTriConfig(0.3))
-print(f"loss = {value:.6f}; gradient norm per feature: {np.round(np.linalg.norm(grad, axis=1), 3)}")
+res = loss_hc_tri(batch, HcTriConfig(0.3))
+print(f"loss = {res.value:.6f}; gradient norm per feature: {np.round(np.linalg.norm(res.grad, axis=1), 3)}")
 
 print("\n== Weighted total and ablations ==")
 kw = dict(kernel_spec=KernelSpec(sigma_squared=2.0, mixture_scales=(0.5, 1.0)),

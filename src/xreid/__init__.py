@@ -31,7 +31,7 @@ from .encoder import (
     sgd_step,
 )
 from .evaluation import EvalReport, SimilarityStats, cmc_map, evaluate, similarity_stats
-from .kernels import GramMatrix, KernelSpec, gram, median_heuristic_bandwidth, rbf_kernel
+from .kernels import KernelSpec, gram, median_heuristic_bandwidth, rbf_kernel
 from .losses import (
     HcTriConfig,
     LossBundle,
@@ -63,7 +63,6 @@ __all__ = [
     "BatchSpec",
     "BatchSampler",
     "KernelSpec",
-    "GramMatrix",
     "rbf_kernel",
     "median_heuristic_bandwidth",
     "gram",

@@ -15,6 +15,7 @@ Two array-of-struct containers are used throughout the library:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,6 @@ class DescriptorSet:
 
     def select(self, index: np.ndarray) -> "DescriptorSet":
         return DescriptorSet(self.descriptors[index], self.identities[index], self.modalities[index])
-
-    def mean_features(self) -> FeatureSet:
-        """Descriptor means as crude per-sample features (no encoder)."""
-        return FeatureSet(self.descriptors.mean(axis=1), self.identities, self.modalities)
 
 
 @dataclass(frozen=True)
@@ -318,13 +315,34 @@ def dump(dataset: DescriptorSet, path) -> None:
             fh.write(f"{dataset.identities[i]},{_MODALITY_TOKEN[int(dataset.modalities[i])]},{vals}\n")
 
 
+def _parse_error(fh, row: np.dtype, exc: ValueError) -> str:
+    """Why numpy rejects the rows of ``fh``, prefixed by the file line
+    (1-based; the header is line 1) of the first row it rejects on its own.
+
+    numpy numbers the rows it parsed, skipping empty lines, from 0 for a bad
+    value and from 1 for a wrong field count; that number is dropped."""
+    reason = str(exc)
+    fh.seek(0)
+    for line, text in enumerate(fh, start=1):
+        if line == 1 or text == "\n":  # the header; loadtxt skips empty lines
+            continue
+        try:
+            np.loadtxt([text], dtype=row, delimiter=",", comments=None)
+        except ValueError as bad:
+            unnumbered = re.sub(r" at row \d+(, )?", lambda m: " in " if m[1] else "", str(bad))
+            reason = f"line {line}: {unnumbered}"
+            break
+    return reason.partition(";")[0].rstrip(".")  # without loadtxt's usecols hint
+
+
 def load(path) -> DescriptorSet:
     """Read a descriptor set written by :func:`dump`.
 
     The rows are parsed by numpy's C text reader into one structured array,
     without a Python object per value. A malformed header, a row of the
     wrong length or with an unknown modality token, and a non-finite value
-    each raise ``ValueError`` naming ``path``.
+    each raise ``ValueError`` naming ``path``; a row that does not parse is
+    named by its line in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -353,9 +371,9 @@ def load(path) -> DescriptorSet:
             try:
                 rows = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
             except ValueError as exc:
-                reason = str(exc).partition(";")[0]  # drop loadtxt's usecols hint
                 raise ValueError(
-                    f"{path}: {reason}; a row is identity,v|t,<H*D_in values>: {2 + h * d} fields"
+                    f"{path}: {_parse_error(fh, row, exc)}; "
+                    f"a row is identity,v|t,<H*D_in values>: {2 + h * d} fields"
                 ) from None
 
     thermal = rows["token"] == _MODALITY_TOKEN[THERMAL]

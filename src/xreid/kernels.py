@@ -59,21 +59,6 @@ class KernelSpec:
         return np.multiply.outer(base, self.mixture_scales)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Materialized pairwise kernel values between two sets of vectors."""
-
-    values: np.ndarray
-
-    @property
-    def row_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.values.shape[1]
-
-
 def _as_matrix(xs, name: str) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
@@ -157,8 +142,8 @@ def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False
     return k, np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
 
 
-def gram(xs, ys, spec: KernelSpec) -> GramMatrix:
-    """Gram matrix of the kernel mixture between two sets of vectors.
+def gram(xs, ys, spec: KernelSpec) -> np.ndarray:
+    """(N, M) Gram matrix of the kernel mixture between two sets of vectors.
 
     Under the median heuristic the base bandwidth is computed once from the
     union of ``xs`` and ``ys`` for this call.
@@ -171,13 +156,12 @@ def gram(xs, ys, spec: KernelSpec) -> GramMatrix:
         base = median_heuristic_bandwidth(np.vstack([xs, ys]))
     else:
         base = spec.sigma_squared
-    return GramMatrix(mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base)))
+    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base))
 
 
 __all__ = [
     "DEFAULT_MIXTURE_SCALES",
     "KernelSpec",
-    "GramMatrix",
     "rbf_kernel",
     "median_heuristic_bandwidth",
     "resolve_bandwidth",

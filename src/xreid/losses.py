@@ -22,9 +22,12 @@ import numpy as np
 from . import counters
 from .data import CellIndex, FeatureSet, cell_index
 from .kernels import KernelSpec
-from .mmd import MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
+from .mmd import LossValue, MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
 MMD_VARIANTS = ("margin_id", "id", "marginal", "none")
+
+# a term whose weight is zero: no value, no gradient, no diagnostics
+_SKIPPED = LossValue(0.0, None)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class LossBundle:
     class_mmd2: np.ndarray | None = None  # raw per-class MMD^2, when applicable
 
 
-def loss_id(logits, labels) -> tuple[float, np.ndarray]:
+def loss_id(logits, labels) -> LossValue:
     """Mean softmax cross-entropy; gradient is (softmax - onehot) / N."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -78,7 +81,7 @@ def loss_id(logits, labels) -> tuple[float, np.ndarray]:
     grad = probs
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, grad
+    return LossValue(loss, grad)
 
 
 def hetero_centers(
@@ -110,9 +113,7 @@ def _directions(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
 
 
-def loss_hc_tri(
-    batch: FeatureSet, cfg: HcTriConfig, index: CellIndex | None = None
-) -> tuple[float, np.ndarray]:
+def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig, index: CellIndex | None = None) -> LossValue:
     """Hetero-center triplet loss with batch-hard negative mining over centers.
 
     Hinge terms at exactly zero are inactive; ties in the hardest-negative
@@ -160,7 +161,7 @@ def loss_hc_tri(
     np.add.at(grad_cells, targets.ravel(), updates)
 
     # centers are means, so each member feature receives grad / cell size
-    return loss, (grad_cells / index.counts[:, None])[index.cell]
+    return LossValue(loss, (grad_cells / index.counts[:, None])[index.cell])
 
 
 def loss_total(
@@ -191,48 +192,40 @@ def loss_total(
 
     grad_pooled = np.zeros_like(batch.features)
     grad_logits = np.zeros_like(logits)
-    id_term = 0.0
-    mmd_term = 0.0
-    hctri_term = 0.0
-    active_classes = None
-    class_mmd2 = None
+    id_loss = mmd_loss = hctri_loss = _SKIPPED
     index = cell_index(batch.identities, batch.modalities)
 
     if weights.lambda_id != 0.0:
-        id_term, g = loss_id(logits, labels)
-        grad_logits += weights.lambda_id * g
+        id_loss = loss_id(logits, labels)
+        grad_logits += weights.lambda_id * id_loss.grad
 
     if weights.lambda_margin_mmd != 0.0 and mmd_variant != "none":
         if mmd_variant == "margin_id":
-            res = loss_margin_mmd_id(batch, kernel_spec, margin, estimator, index)
-            active_classes = res.active_classes
-            class_mmd2 = res.class_mmd2
+            mmd_loss = loss_margin_mmd_id(batch, kernel_spec, margin, estimator, index)
         elif mmd_variant == "id":
-            res = loss_mmd_id(batch, kernel_spec, estimator, index)
-            class_mmd2 = res.class_mmd2
+            mmd_loss = loss_mmd_id(batch, kernel_spec, estimator, index)
         else:
-            res = loss_mmd_marginal(batch, kernel_spec, estimator)
-        mmd_term = res.value
-        grad_pooled += weights.lambda_margin_mmd * res.grad
+            mmd_loss = loss_mmd_marginal(batch, kernel_spec, estimator)
+        grad_pooled += weights.lambda_margin_mmd * mmd_loss.grad
 
     if weights.lambda_hctri != 0.0:
-        hctri_term, g = loss_hc_tri(batch, hctri, index)
-        grad_pooled += weights.lambda_hctri * g
+        hctri_loss = loss_hc_tri(batch, hctri, index)
+        grad_pooled += weights.lambda_hctri * hctri_loss.grad
 
     total = (
-        weights.lambda_id * id_term
-        + weights.lambda_margin_mmd * mmd_term
-        + weights.lambda_hctri * hctri_term
+        weights.lambda_id * id_loss.value
+        + weights.lambda_margin_mmd * mmd_loss.value
+        + weights.lambda_hctri * hctri_loss.value
     )
     return LossBundle(
         total=float(total),
-        id_term=float(id_term),
-        margin_mmd_term=float(mmd_term),
-        hctri_term=float(hctri_term),
+        id_term=float(id_loss.value),
+        margin_mmd_term=float(mmd_loss.value),
+        hctri_term=float(hctri_loss.value),
         grad_pooled=grad_pooled,
         grad_logits=grad_logits,
-        active_classes=active_classes,
-        class_mmd2=class_mmd2,
+        active_classes=mmd_loss.active_classes,
+        class_mmd2=mmd_loss.class_mmd2,
     )
 
 

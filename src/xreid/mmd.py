@@ -63,25 +63,14 @@ class MarginConfig:
 
 @dataclass(frozen=True)
 class LossValue:
+    """What every loss returns: its value, its gradient, and the per-class
+    diagnostics of the losses that have them (None for the others)."""
+
     value: float
-    grad: np.ndarray  # d loss / d feature, one row per batch feature
-
-
-@dataclass(frozen=True)
-class ClassMmdResult:
-    value: float
-    grad: np.ndarray
-    class_ids: np.ndarray     # ascending identity order used for the reduction
-    class_mmd2: np.ndarray    # raw per-class MMD^2 (pre-gate)
-
-
-@dataclass(frozen=True)
-class MarginMmdResult:
-    value: float
-    grad: np.ndarray
-    active_classes: int       # classes whose MMD^2 exceeded rho
-    class_ids: np.ndarray
-    class_mmd2: np.ndarray
+    grad: np.ndarray  # d loss / d input, one row per input row (feature or logit)
+    class_ids: np.ndarray | None = None   # ascending identities of the per-class MMD
+    class_mmd2: np.ndarray | None = None  # raw per-class MMD^2 (pre-gate)
+    active_classes: int | None = None     # classes whose MMD^2 exceeded rho
 
 
 def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, owner=None):
@@ -195,27 +184,22 @@ def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "bia
     return LossValue(value, grad)
 
 
-def _per_class(batch: FeatureSet, spec: KernelSpec, estimator: str, rho=None, index=None):
-    if index is None:
-        index = cell_index(batch.identities, batch.modalities)
-    (mmd2, _, _, _), active, value, grad = _engine(batch.features, index, spec, estimator, rho)
-    return value, grad, int(active.sum()), index.ids, mmd2
-
-
 def loss_mmd_id(
     batch: FeatureSet,
     spec: KernelSpec,
     estimator: str = "biased",
     index: CellIndex | None = None,
-) -> ClassMmdResult:
+) -> LossValue:
     """Average per-identity MMD^2 between modalities, with gradients.
 
     Each identity gets its own median-heuristic bandwidth; the unbiased
     average is signed, not clamped at 0. ``index`` is the batch's
     :func:`~xreid.data.cell_index`, built here when not given.
     """
-    value, grad, _, ids, mmd2 = _per_class(batch, spec, estimator, index=index)
-    return ClassMmdResult(value, grad, ids, mmd2)
+    if index is None:
+        index = cell_index(batch.identities, batch.modalities)
+    (mmd2, _, _, _), _, value, grad = _engine(batch.features, index, spec, estimator)
+    return LossValue(value, grad, index.ids, mmd2)
 
 
 def loss_margin_mmd_id(
@@ -224,26 +208,27 @@ def loss_margin_mmd_id(
     margin: MarginConfig,
     estimator: str = "biased",
     index: CellIndex | None = None,
-) -> MarginMmdResult:
+) -> LossValue:
     """Margin-gated class-conditional MMD loss.
 
     A class contributes its full MMD^2 while MMD^2 - rho > 0 and exactly
     zero (no gradient) otherwise; the loss is the class average of the
     surviving terms. At rho = 0 no class is gated, for either estimator, so
-    the result equals :func:`loss_mmd_id` bitwise. ``index`` is as for
-    :func:`loss_mmd_id`.
+    the value, gradient and per-class MMD^2 equal :func:`loss_mmd_id`'s
+    bitwise. ``active_classes`` counts the classes the gate passed.
+    ``index`` is as for :func:`loss_mmd_id`.
     """
+    if index is None:
+        index = cell_index(batch.identities, batch.modalities)
     rho = margin.rho if margin.rho > 0 else None
-    value, grad, active, ids, mmd2 = _per_class(batch, spec, estimator, rho, index)
-    return MarginMmdResult(value, grad, active, ids, mmd2)
+    (mmd2, _, _, _), active, value, grad = _engine(batch.features, index, spec, estimator, rho)
+    return LossValue(value, grad, index.ids, mmd2, int(active.sum()))
 
 
 __all__ = [
     "MmdEstimate",
     "MarginConfig",
     "LossValue",
-    "ClassMmdResult",
-    "MarginMmdResult",
     "mmd2_biased",
     "mmd2_unbiased",
     "loss_mmd_marginal",

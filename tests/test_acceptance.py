@@ -141,11 +141,11 @@ def test_criterion_2_gradient_suite():
     for _ in range(16):
         batch = random_batch(rng, 3, 3, 3)
         cfg = HcTriConfig(0.3)
-        value, grad = loss_hc_tri(batch, cfg)
-        if value == 0.0 or _near_hinge_kink(batch, cfg):
+        res = loss_hc_tri(batch, cfg)
+        if res.value == 0.0 or _near_hinge_kink(batch, cfg):
             continue
-        fd = fd_gradient(lambda: loss_hc_tri(batch, cfg)[0], batch.features)
-        assert rel_error(grad, fd) < 1e-4
+        fd = fd_gradient(lambda: loss_hc_tri(batch, cfg).value, batch.features)
+        assert rel_error(res.grad, fd) < 1e-4
         checks += 1
         hctri_checked += 1
     assert hctri_checked >= 5
@@ -153,8 +153,8 @@ def test_criterion_2_gradient_suite():
     for _ in range(8):
         logits = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, 6)
-        _, grad = loss_id(logits, labels)
-        fd = fd_gradient(lambda: loss_id(logits, labels)[0], logits)
+        grad = loss_id(logits, labels).grad
+        fd = fd_gradient(lambda: loss_id(logits, labels).value, logits)
         assert rel_error(grad, fd) < 1e-4
         checks += 1
 

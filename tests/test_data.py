@@ -81,7 +81,7 @@ class TestGenerate:
             seed=1,
         )
         _, test = generate(spec)
-        feats = test.mean_features()
+        feats = FeatureSet(test.descriptors.mean(axis=1), test.identities, test.modalities)
         query = feats.select(feats.modalities == THERMAL)
         gallery = feats.select(feats.modalities == VISIBLE)
         report = evaluate(query, gallery, trials=10, seed=0)
@@ -213,6 +213,19 @@ class TestDumpLoad:
         path.write_text("#version=1,H=2,D_in=2\n0,v,1.0,2.0\n")
         with pytest.raises(ValueError, match="fields"):
             load(path)
+
+    @pytest.mark.parametrize("body, line", [
+        pytest.param("0,v,1.0,abc\n", 2, id="bad-value-first-row"),
+        pytest.param("0,v,1.0\n", 2, id="short-row-first-row"),
+        pytest.param("0,v,1.0,2.0\n\n\n0,t,1.0,abc\n", 5, id="bad-value-after-blank-lines"),
+        pytest.param("0,v,1.0,2.0\n\n\n0,t,1.0\n", 5, id="short-row-after-blank-lines"),
+    ])
+    def test_parse_error_names_the_file_line(self, tmp_path, body, line):
+        path = tmp_path / "rows.csv"
+        path.write_text("#version=1,H=1,D_in=2\n" + body)
+        with pytest.raises(ValueError, match=rf"rows.csv: line {line}: .*; a row is .*: 4 fields") as info:
+            load(path)
+        assert " at row " not in str(info.value)
 
     def test_round_trip_bit_exact_on_edge_floats(self, tmp_path):
         edge = [5e-324, -0.0, 1e16, 1e-05, np.finfo(np.float64).max, -2.2250738585072014e-308]

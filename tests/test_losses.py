@@ -27,41 +27,41 @@ class TestLossId:
         for c in (2, 5, 17):
             logits = np.zeros((4, c))
             labels = np.arange(4) % c
-            value, _ = loss_id(logits, labels)
+            value = loss_id(logits, labels).value
             assert value == pytest.approx(np.log(c), abs=1e-12)
 
     def test_confident_logits_near_zero(self):
         logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2])
         logits[np.arange(3), labels] = 50.0
-        value, _ = loss_id(logits, labels)
+        value = loss_id(logits, labels).value
         assert value < 1e-20
 
     def test_matches_logsumexp_oracle(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((3, 4)) * 3.0
         labels = rng.integers(0, 4, size=3)
-        value, _ = loss_id(logits, labels)
+        value = loss_id(logits, labels).value
         assert value == pytest.approx(softmax_ce_oracle(logits, labels), abs=1e-12)
 
     def test_gradient_form_and_fd(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, size=5)
-        value, grad = loss_id(logits, labels)
+        grad = loss_id(logits, labels).grad
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         onehot = np.eye(3)[labels]
         assert np.allclose(grad, (probs - onehot) / 5.0, atol=1e-12)
-        fd = fd_gradient(lambda: loss_id(logits, labels)[0], logits)
+        fd = fd_gradient(lambda: loss_id(logits, labels).value, logits)
         assert rel_error(grad, fd) < 1e-4
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((4, 6))
         labels = rng.integers(0, 6, size=4)
-        base, _ = loss_id(logits, labels)
-        shifted, _ = loss_id(logits + 123.456, labels)
+        base = loss_id(logits, labels).value
+        shifted = loss_id(logits + 123.456, labels).value
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_label_out_of_range(self):
@@ -127,9 +127,9 @@ class TestHcTri:
 
     def test_separated_identities_zero_loss(self):
         batch = self.two_identity_batch(0.0, 1.0, 10.0, 11.0)
-        value, grad = loss_hc_tri(batch, HcTriConfig(0.3))
-        assert value == 0.0
-        assert np.all(grad == 0.0)
+        res = loss_hc_tri(batch, HcTriConfig(0.3))
+        assert res.value == 0.0
+        assert np.all(res.grad == 0.0)
 
     def test_confusable_identities_hand_value(self):
         # centers: A = {v: 0, t: 1}, B = {v: 1.5, t: 1.6}
@@ -138,7 +138,7 @@ class TestHcTri:
         # anchor B_v: pos 0.1, neg min(1.5, 0.5) = 0.5 -> 0
         # anchor B_t: pos 0.1, neg min(1.6, 0.6) = 0.6 -> 0
         batch = self.two_identity_batch(0.0, 1.0, 1.5, 1.6)
-        value, _ = loss_hc_tri(batch, HcTriConfig(0.3))
+        value = loss_hc_tri(batch, HcTriConfig(0.3)).value
         assert value == pytest.approx(0.8, abs=1e-12)
         assert value == pytest.approx(
             hc_tri_oracle(np.array([[0.0], [1.5]]), np.array([[1.0], [1.6]]), 0.3), abs=1e-12
@@ -158,7 +158,7 @@ class TestHcTri:
                         mods.append(m)
             batch = make_batch(feats, ids, mods)
             _, cv, ct = hetero_centers(batch)
-            value, _ = loss_hc_tri(batch, HcTriConfig(0.3))
+            value = loss_hc_tri(batch, HcTriConfig(0.3)).value
             assert value == pytest.approx(hc_tri_oracle(cv, ct, 0.3), abs=1e-10)
 
     def test_finite_difference_gradients(self):
@@ -174,8 +174,8 @@ class TestHcTri:
                         mods.append(m)
             batch = make_batch(feats, ids, mods)
             cfg = HcTriConfig(0.3)
-            value, grad = loss_hc_tri(batch, cfg)
-            if value == 0.0:
+            res = loss_hc_tri(batch, cfg)
+            if res.value == 0.0:
                 continue
             # skip configurations near hinge kinks or negative-mining ties,
             # where the loss is not differentiable
@@ -195,8 +195,8 @@ class TestHcTri:
             if min(abs(t) for t in terms) < 1e-3 or min(gaps) < 1e-3:
                 continue
             checked += 1
-            fd = fd_gradient(lambda: loss_hc_tri(batch, cfg)[0], batch.features)
-            assert rel_error(grad, fd) < 1e-4
+            fd = fd_gradient(lambda: loss_hc_tri(batch, cfg).value, batch.features)
+            assert rel_error(res.grad, fd) < 1e-4
         assert checked >= 5
 
     def test_translation_invariance(self):
@@ -205,9 +205,9 @@ class TestHcTri:
         ids = np.repeat([0, 1], 4)
         mods = np.tile([VISIBLE, VISIBLE, THERMAL, THERMAL], 2)
         batch = make_batch(feats, ids, mods)
-        value, _ = loss_hc_tri(batch, HcTriConfig(0.3))
+        value = loss_hc_tri(batch, HcTriConfig(0.3)).value
         moved = make_batch(feats + np.array([10.0, -20.0, 5.0]), ids, mods)
-        value2, _ = loss_hc_tri(moved, HcTriConfig(0.3))
+        value2 = loss_hc_tri(moved, HcTriConfig(0.3)).value
         assert value2 == pytest.approx(value, abs=1e-10)
 
     def test_needs_two_identities(self):
@@ -260,7 +260,7 @@ class TestLossTotal:
         rng = np.random.default_rng(8)
         batch, logits, labels = self.setup_batch(rng)
         bundle = loss_total(batch, logits, labels, **self.kwargs(LossWeights(1.0, 0.0, 0.0)))
-        assert bundle.total == bundle.id_term == loss_id(logits, labels)[0]
+        assert bundle.total == bundle.id_term == loss_id(logits, labels).value
         assert np.all(bundle.grad_pooled == 0.0)
 
     def test_gated_margin_only_zero(self):
@@ -280,9 +280,9 @@ class TestLossTotal:
         batch, logits, labels = self.setup_batch(rng)
         weights = LossWeights()  # (1, 0.25, 2)
         bundle = loss_total(batch, logits, labels, **self.kwargs(weights))
-        id_term = loss_id(logits, labels)[0]
+        id_term = loss_id(logits, labels).value
         mmd_term = loss_margin_mmd_id(batch, SINGLE, MarginConfig(0.0)).value
-        hctri_term = loss_hc_tri(batch, HcTriConfig(0.3))[0]
+        hctri_term = loss_hc_tri(batch, HcTriConfig(0.3)).value
         expected = 1.0 * id_term + 0.25 * mmd_term + 2.0 * hctri_term
         assert bundle.total == pytest.approx(expected, abs=1e-12)
         assert bundle.total == pytest.approx(
@@ -321,6 +321,56 @@ class TestLossTotal:
         assert bundle.margin_mmd_term == loss_mmd_marginal(batch, SINGLE).value
         assert bundle.active_classes is None
 
+    @pytest.mark.parametrize("variant", ["margin_id", "id", "marginal", "none"])
+    def test_diagnostics_come_from_the_mmd_term(self, variant):
+        from xreid.mmd import loss_margin_mmd_id, loss_mmd_id
+
+        rng = np.random.default_rng(15)
+        batch, logits, labels = self.setup_batch(rng)
+        kw = self.kwargs(LossWeights(), variant=variant)
+        kw["margin"] = MarginConfig(1.8)
+        bundle = loss_total(batch, logits, labels, **kw)
+        p = len(np.unique(batch.identities))
+        if variant == "margin_id":
+            direct = loss_margin_mmd_id(batch, SINGLE, MarginConfig(1.8))
+            assert 0 < direct.active_classes < p  # the gate is shut for some classes only
+            assert isinstance(bundle.active_classes, int)
+            assert bundle.active_classes == direct.active_classes
+        else:
+            assert bundle.active_classes is None
+        if variant in ("margin_id", "id"):
+            if variant == "id":
+                direct = loss_mmd_id(batch, SINGLE)
+            assert bundle.class_mmd2.shape == (p,)
+            assert np.array_equal(bundle.class_mmd2, direct.class_mmd2)
+        else:
+            assert bundle.class_mmd2 is None
+
+    def test_every_loss_returns_a_loss_value(self):
+        from xreid.mmd import LossValue, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
+
+        rng = np.random.default_rng(15)
+        batch, logits, labels = self.setup_batch(rng)
+        ids = np.unique(batch.identities)
+        per_class = {
+            "margin_id": loss_margin_mmd_id(batch, SINGLE, MarginConfig(1.8)),
+            "id": loss_mmd_id(batch, SINGLE),
+        }
+        plain = {
+            "ce": loss_id(logits, labels),
+            "hc-tri": loss_hc_tri(batch, HcTriConfig(0.3)),
+            "marginal": loss_mmd_marginal(batch, SINGLE),
+        }
+        for name, res in {**per_class, **plain}.items():
+            assert type(res) is LossValue, name
+            assert isinstance(res.value, float) and isinstance(res.grad, np.ndarray), name
+        for name, res in per_class.items():
+            assert np.array_equal(res.class_ids, ids) and res.class_mmd2.shape == ids.shape, name
+        assert isinstance(per_class["margin_id"].active_classes, int)
+        assert per_class["id"].active_classes is None
+        for name, res in plain.items():
+            assert res.class_ids is None and res.class_mmd2 is None and res.active_classes is None, name
+
     @pytest.mark.parametrize("variant", ["margin_id", "id"])
     def test_one_cell_index_per_call(self, monkeypatch, variant):
         import xreid.losses as losses_module
@@ -334,7 +384,7 @@ class TestLossTotal:
             mmd = loss_margin_mmd_id(batch, SINGLE, MarginConfig(0.0))
         else:
             mmd = loss_mmd_id(batch, SINGLE)
-        _, hc_grad = loss_hc_tri(batch, HcTriConfig(0.3))
+        hc_grad = loss_hc_tri(batch, HcTriConfig(0.3)).grad
 
         calls = []
         build = losses_module.cell_index

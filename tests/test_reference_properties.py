@@ -101,9 +101,9 @@ class TestHcTriMatchesReference:
     @given(center_batches(), st.sampled_from([0.0, 0.3, 1.0, 5.0]))
     def test_loss_and_gradient_bitwise(self, batch, margin):
         want_loss, want_grad = loss_hc_tri_reference(batch, margin)
-        got_loss, got_grad = loss_hc_tri(batch, HcTriConfig(margin))
-        assert bits(got_loss) == bits(want_loss)
-        assert np.array_equal(bits(got_grad), bits(want_grad))
+        got = loss_hc_tri(batch, HcTriConfig(margin))
+        assert bits(got.value) == bits(want_loss)
+        assert np.array_equal(bits(got.grad), bits(want_grad))
 
     @given(center_batches())
     def test_centers_bitwise(self, batch):
@@ -116,9 +116,9 @@ class TestHcTriMatchesReference:
         # identity 0's centers coincide; its positive term has no direction
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
         batch = FeatureSet(feats, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
-        loss, grad = loss_hc_tri(batch, HcTriConfig(10.0))
+        got = loss_hc_tri(batch, HcTriConfig(10.0))
         want_loss, want_grad = loss_hc_tri_reference(batch, 10.0)
-        assert loss == want_loss and np.array_equal(bits(grad), bits(want_grad))
+        assert got.value == want_loss and np.array_equal(bits(got.grad), bits(want_grad))
 
     @given(ragged_labels(max_ids=4, max_cell=3))
     def test_missing_modality_same_error(self, labels):
