@@ -186,8 +186,8 @@ def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> lis
     rows = []
     for rho in rhos:
         sub = ExperimentConfig(dict(config.values))
-        sub.values["mmd.margin_rho"] = float(rho)
-        sub.values["output.dir"] = str(root / "sweep" / f"rho_{rho:g}")
+        sub.set("mmd.margin_rho", repr(float(rho)))
+        sub.set("output.dir", str(root / "sweep" / f"rho_{rho:g}"))
         cmd_train(sub, data_dir=data_dir)
         report = cmd_eval(sub, data_dir=data_dir)
         rows.append((float(rho), report.rank(1), report.map))

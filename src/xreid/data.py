@@ -15,6 +15,7 @@ Two array-of-struct containers are used throughout the library:
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -315,17 +316,29 @@ def dump(dataset: DescriptorSet, path) -> None:
             fh.write(f"{dataset.identities[i]},{_MODALITY_TOKEN[int(dataset.modalities[i])]},{vals}\n")
 
 
+def _rows(fh):
+    """(file line, text) of each row of ``fh`` that loadtxt parses: lines
+    are 1-based, the header is line 1, and empty lines are skipped."""
+    fh.seek(0)
+    for line, text in enumerate(fh, start=1):
+        if line > 1 and text != "\n":
+            yield line, text
+
+
+def _line_of(path, sample: int) -> int:
+    """The file line of the ``sample``-th (0-based) row loadtxt parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(itertools.islice(_rows(fh), sample, None))[0]
+
+
 def _parse_error(fh, row: np.dtype, exc: ValueError) -> str:
-    """Why numpy rejects the rows of ``fh``, prefixed by the file line
-    (1-based; the header is line 1) of the first row it rejects on its own.
+    """Why numpy rejects the rows of ``fh``, prefixed by the file line of
+    the first row it rejects on its own.
 
     numpy numbers the rows it parsed, skipping empty lines, from 0 for a bad
     value and from 1 for a wrong field count; that number is dropped."""
     reason = str(exc)
-    fh.seek(0)
-    for line, text in enumerate(fh, start=1):
-        if line == 1 or text == "\n":  # the header; loadtxt skips empty lines
-            continue
+    for line, text in _rows(fh):
         try:
             np.loadtxt([text], dtype=row, delimiter=",", comments=None)
         except ValueError as bad:
@@ -341,8 +354,8 @@ def load(path) -> DescriptorSet:
     The rows are parsed by numpy's C text reader into one structured array,
     without a Python object per value. A malformed header, a row of the
     wrong length or with an unknown modality token, and a non-finite value
-    each raise ``ValueError`` naming ``path``; a row that does not parse is
-    named by its line in the file.
+    each raise ``ValueError`` naming ``path``; a bad row is named by its
+    line in the file (1-based; the header is line 1).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -380,11 +393,12 @@ def load(path) -> DescriptorSet:
     bad = ~thermal & (rows["token"] != _MODALITY_TOKEN[VISIBLE])
     if bad.any():
         i = int(np.argmax(bad))
-        token = str(rows["token"][i])
-        raise ValueError(f"{path}: sample {i} has modality token {token!r}, not v or t")
+        line, token = _line_of(path, i), str(rows["token"][i])
+        raise ValueError(f"{path}: line {line}: modality token {token!r} is not v or t")
     finite = np.isfinite(rows["values"]).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{path}: non-finite descriptor value in sample {np.argmin(finite)}")
+        line = _line_of(path, int(np.argmin(finite)))
+        raise ValueError(f"{path}: line {line}: non-finite descriptor value")
     # copies, so that the structured rows are freed
     descriptors = np.ascontiguousarray(rows["values"]).reshape(len(rows), h, d)
     modalities = np.where(thermal, THERMAL, VISIBLE)

@@ -19,6 +19,7 @@ flows through bandwidth selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,15 @@ def median_heuristic_bandwidth(features) -> float:
     return float(resolve_bandwidth(KernelSpec(), squared_distances(xs, xs)[None])[0])
 
 
+@lru_cache(maxsize=8)
+def _upper_triangle(size: int) -> np.ndarray:
+    # flat indices of a (size, size) block's strict upper triangle; cached
+    # per block size and read-only, since every caller shares the array
+    upper = np.flatnonzero(~np.tri(size, dtype=bool))
+    upper.flags.writeable = False
+    return upper
+
+
 def resolve_bandwidth(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     """Base bandwidth of each block of a (C, L, L) squared-distance stack: the
     fixed value, or the median heuristic over the block's distinct pairs
@@ -114,8 +124,7 @@ def resolve_bandwidth(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     blocks = len(d2)
     if not spec.is_median_heuristic:
         return np.full(blocks, float(spec.sigma_squared))
-    upper = np.flatnonzero(~np.tri(d2.shape[-1], dtype=bool))
-    pairs = d2.reshape(blocks, -1).take(upper, axis=1)
+    pairs = d2.reshape(blocks, -1).take(_upper_triangle(d2.shape[-1]), axis=1)
     count = np.isfinite(pairs).sum(axis=1)
     lo, hi = (count - 1) // 2, count // 2
     pairs = np.partition(pairs, np.concatenate([lo, hi]), axis=1)

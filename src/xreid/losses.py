@@ -101,9 +101,10 @@ def hetero_centers(
     if gap is not None:
         raise ValueError(f"identity {gap[0]} has no {'thermal' if gap[1] else 'visible'} samples")
     first = index.starts[:-1]
-    rest = np.delete(index.order, first)
     sums = batch.features[index.order[first]]
-    np.add.at(sums, index.cell[rest], batch.features[rest])
+    for j in range(1, int(index.counts.max(initial=0))):
+        has = np.flatnonzero(index.counts > j)  # the cells with a row j
+        sums[has] += batch.features[index.order[first[has] + j]]
     centers = sums / index.counts[:, None]
     return index.ids, centers[0::2], centers[1::2]
 

@@ -107,7 +107,8 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     d2 = squared_distances(xb, xb)
     # pairs with an empty slot sit at infinite distance: the median skips
     # them and their kernel values and gradient weights are exactly 0
-    np.copyto(d2, np.inf, where=~(valid[:, :, None] & valid[:, None, :]))
+    if not valid.all():
+        np.copyto(d2, np.inf, where=~(valid[:, :, None] & valid[:, None, :]))
     bw = spec.bandwidths(resolve_bandwidth(spec, d2))
     if estimator == "unbiased":
         diagonal = np.arange(d2.shape[-1])

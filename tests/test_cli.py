@@ -91,7 +91,7 @@ class TestGenerate:
     @pytest.mark.parametrize("field,value,message", [
         (0, "bad-header", "needs integer version, H and D_in"),
         (1, "x", "modality token 'x'"),
-        (2, "nan", "non-finite descriptor value in sample 0"),
+        (2, "nan", "non-finite descriptor value"),
     ])
     def test_bad_split_named_in_one_error_line(self, tmp_path, capsys, field, value, message):
         # a malformed train.csv with a matching checksum fails at load
@@ -110,6 +110,8 @@ class TestGenerate:
         assert main(["train", "--set", f"output.dir={tmp_path}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / 'train.csv'}: ") and message in err
+        if field:  # a bad row is named by its file line; the first row is line 2
+            assert err.startswith(f"error: {out / 'train.csv'}: line 2: {message}")
         assert err.count("\n") == 1
 
 

@@ -249,14 +249,25 @@ class TestDumpLoad:
     def test_unknown_modality_token_names_path(self, tmp_path):
         path = tmp_path / "token.csv"
         path.write_text("#version=1,H=1,D_in=2\n0,v,1.0,2.0\n0,x,1.0,2.0\n")
-        with pytest.raises(ValueError, match="token.csv: .*'x'"):
+        with pytest.raises(ValueError, match="token.csv: line 3: modality token 'x' is not v or t$"):
             load(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"#version=1,H=1,D_in=2\n0,v,1.0,2.0\n0,t,{bad},2.0\n")
-        with pytest.raises(ValueError, match="nonfinite.csv: non-finite descriptor value in sample 1"):
+        with pytest.raises(ValueError, match="nonfinite.csv: line 3: non-finite descriptor value$"):
+            load(path)
+
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("0,x,1.0,2.0", "modality token 'x' is not v or t", id="token"),
+        pytest.param("0,t,nan,2.0", "non-finite descriptor value", id="non-finite"),
+    ])
+    def test_bad_row_after_blank_lines_names_the_file_line(self, tmp_path, row, message):
+        # the bad row is sample 1 but file line 5
+        path = tmp_path / "rows.csv"
+        path.write_text(f"#version=1,H=1,D_in=2\n0,v,1.0,2.0\n\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"rows.csv: line 5: {message}$"):
             load(path)
 
     def test_header_only_split_is_empty_without_warning(self, tmp_path):

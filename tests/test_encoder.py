@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_utils import fd_gradient, gem_pool, rel_error
 from xreid.data import FeatureSet, THERMAL, VISIBLE
 from xreid.encoder import (
     EncoderParams,
+    _pow,
     EncoderShape,
     SgdHyper,
     SgdState,
@@ -67,6 +70,30 @@ class TestGemPool:
             gem_pool([1.0, -0.1], 2.0)
         with pytest.raises(ValueError, match=">= 1"):
             gem_pool([1.0, 2.0], 0.5)
+
+
+@st.composite
+def gem_inputs(draw):
+    """Nonnegative values of which 0-90 % are exact zeros, as after a ReLU."""
+    n = draw(st.integers(1, 60))
+    values = np.array(draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n)))
+    zeros = int(draw(st.floats(0.0, 0.9)) * n)
+    values[draw(st.permutations(range(n)))[:zeros]] = 0.0
+    return values
+
+
+class TestZeroSafePower:
+    @given(gem_inputs(), st.floats(1.0, 8.0), st.booleans())
+    def test_equals_numpy_power_bitwise(self, x, p, inverse):
+        p = 1.0 / p if inverse else p
+        with np.errstate(over="ignore"):  # large values go to inf either way
+            got, want = _pow(x, p), x**p
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_leaves_its_input_alone(self):
+        x = np.array([0.0, 2.0, 0.0, 3.0])
+        _pow(x, 3.0)
+        assert x.tolist() == [0.0, 2.0, 0.0, 3.0]
 
 
 class TestForward:

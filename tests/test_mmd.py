@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_utils import (
     fd_gradient,
@@ -317,6 +319,19 @@ class TestMarginLoss:
         assert loss_margin_mmd_id(shuffled, spec, MarginConfig(0.2)).value == pytest.approx(
             base, abs=1e-12
         )
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["biased", "unbiased"]),
+           st.lists(st.floats(0.0, 3.0), min_size=2, max_size=6))
+    def test_active_classes_never_rise_with_rho(self, seed, n_classes, estimator, rhos):
+        rng = np.random.default_rng(seed)
+        batch = random_two_modality_batch(rng, n_classes=n_classes, per_cell=(2, 4), scale=3.0)
+        spec = KernelSpec(mixture_scales=(0.5, 1.0, 2.0))
+        active = [
+            loss_margin_mmd_id(batch, spec, MarginConfig(rho), estimator).active_classes
+            for rho in sorted(rhos)
+        ]
+        assert all(0 <= b <= a <= n_classes for a, b in zip(active, active[1:]))
 
 
 class TestPairCounting:

@@ -112,6 +112,17 @@ class TestHcTriMatchesReference:
             if got.dtype.kind == "f":
                 assert np.array_equal(bits(got), bits(want))
 
+    @given(ragged_labels(max_ids=4, max_cell=12, allow_empty=False), st.integers(2, 4),
+           st.integers(0, 2**32 - 1))
+    def test_centers_bitwise_on_rounded_sums(self, labels, dim, seed):
+        # unlike the half-integer grid above, these sums round, so any other
+        # summation order than the reference's changes the last bits
+        identities, modalities = labels
+        features = np.random.default_rng(seed).standard_normal((len(identities), dim))
+        batch = FeatureSet(features, identities, modalities)
+        for got, want in zip(hetero_centers(batch)[1:], hetero_centers_reference(batch)[1:]):
+            assert np.array_equal(bits(got), bits(want))
+
     def test_coincident_centers_give_zero_subgradient(self):
         # identity 0's centers coincide; its positive term has no direction
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
