@@ -11,6 +11,9 @@ Two array-of-struct containers are used throughout the library:
   consumed by the MMD losses and the retrieval evaluator.
 * :class:`DescriptorSet` — raw per-sample descriptor grids (H local
   descriptors each), consumed by the encoder.
+
+Each owns its rows' (identity, modality) :class:`CellIndex` as ``cells``,
+built on first use, which the sampler and the per-class losses share.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +63,12 @@ class FeatureSet:
     def select(self, mask: np.ndarray) -> "FeatureSet":
         return FeatureSet(self.features[mask], self.identities[mask], self.modalities[mask])
 
+    @cached_property
+    def cells(self) -> CellIndex:
+        """The rows' :func:`cell_index`, built on first use and kept, so the
+        labels must not be changed in place after that."""
+        return cell_index(self.identities, self.modalities)
+
     def modality_slice(self, modality: int) -> np.ndarray:
         """Feature rows of one modality."""
         return self.features[self.modalities == modality]
@@ -89,6 +99,8 @@ class DescriptorSet:
 
     def select(self, index: np.ndarray) -> "DescriptorSet":
         return DescriptorSet(self.descriptors[index], self.identities[index], self.modalities[index])
+
+    cells = FeatureSet.cells
 
 
 @dataclass(frozen=True)
@@ -254,21 +266,15 @@ def _choose(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     return rng.choice(pool, size=k, replace=True)
 
 
-def sample_batch(
-    dataset: DescriptorSet,
-    spec: BatchSpec,
-    rng: np.random.Generator,
-    index: CellIndex | None = None,
-) -> DescriptorSet:
+def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generator) -> DescriptorSet:
     """Draw one identity-balanced cross-modal batch.
 
     P distinct identities uniformly without replacement, then K visible and K
     thermal samples per identity. Output rows are grouped by identity with
-    the visible block before the thermal block. ``index`` is the dataset's
-    :func:`cell_index`, built here when not given.
+    the visible block before the thermal block. Each cell's pool is a slice
+    of the dataset's ``cells``.
     """
-    if index is None:
-        index = cell_index(dataset.identities, dataset.modalities)
+    index = dataset.cells
     if len(index.ids) < spec.p:
         raise ValueError(f"dataset has {len(index.ids)} identities, batch needs P={spec.p}")
     chosen = rng.choice(index.ids, size=spec.p, replace=False)
@@ -291,10 +297,9 @@ class BatchSampler:
         self.dataset = dataset
         self.spec = spec
         self.rng = rng
-        self.index = cell_index(dataset.identities, dataset.modalities)
 
     def next_batch(self) -> DescriptorSet:
-        return sample_batch(self.dataset, self.spec, self.rng, self.index)
+        return sample_batch(self.dataset, self.spec, self.rng)
 
     def batches_per_epoch(self) -> int:
         return -(-len(self.dataset) // self.spec.batch_size)  # ceil division

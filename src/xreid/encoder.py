@@ -7,10 +7,13 @@ descriptor outputs, batch normalization, and a linear identity classifier.
 Pooled (pre-BN) features feed the metric losses and retrieval; logits feed
 the identity loss.
 
-The forward pass records a tape; ``backward`` replays it to produce exact
-gradients for every parameter, including BN batch statistics in training
-mode and (optionally) the GeM power. Training updates use momentum SGD with
-linear warmup and two step decays.
+Parameters and gradients are both :class:`EncoderParams`: named views into
+one flat float64 buffer. ``forward`` returns its :class:`Tape`, which holds
+the pooled features, BN features and logits and what ``backward`` replays
+to produce exact gradients for every parameter, including BN batch
+statistics in training mode and (optionally) the GeM power. Training
+updates use momentum SGD with linear warmup and two step decays, applied to
+the whole buffer at once.
 """
 
 from __future__ import annotations
@@ -44,8 +47,11 @@ class EncoderShape:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "specific_widths", tuple(int(w) for w in self.specific_widths))
-        object.__setattr__(self, "shared_widths", tuple(int(w) for w in self.shared_widths))
+        for name in ("specific_widths", "shared_widths"):
+            widths = tuple(int(w) for w in getattr(self, name))
+            if any(w < 1 for w in widths):
+                raise ValueError(f"encoder {name} must be >= 1, got {widths}")
+            object.__setattr__(self, name, widths)
         if self.gem_p < 1:
             raise ValueError(f"gem_p must be >= 1, got {self.gem_p}")
 
@@ -76,15 +82,21 @@ def param_layout(shape: EncoderShape) -> tuple[tuple[str, tuple[int, ...]], ...]
     return tuple(layout)
 
 
-class FlatArrays(Mapping):
-    """Named float64 arrays stored back to back in one flat buffer.
+class EncoderParams(Mapping):
+    """All weights plus BN running statistics (stored but not trained), as
+    named float64 arrays back to back in one flat buffer.
 
-    Each name maps to a view into ``buffer``; assigning to a name copies
-    into its view, whose shape the value must have.
+    Each name of :func:`param_layout` maps to a view into ``buffer``, and
+    the attributes (``shared[i]``, ``cls_w``, ...) are the same views.
+    Write parameters in place (``w[...] = value``, or ``params[name] =
+    value``, which copies into the view and checks its shape); the layer
+    stacks are tuples of ``(w, b)`` views so that a layer cannot be rebound
+    out of the buffer. :func:`backward` returns its gradient as one of these.
     """
 
-    def __init__(self, layout, buffer: np.ndarray | None = None):
-        self.layout = tuple(layout)
+    def __init__(self, shape: EncoderShape, buffer: np.ndarray | None = None):
+        self.shape = shape
+        self.layout = param_layout(shape)
         self.offsets = list(itertools.accumulate((math.prod(s) for _, s in self.layout), initial=0))
         size = self.offsets[-1]
         if buffer is None:
@@ -92,10 +104,24 @@ class FlatArrays(Mapping):
         if buffer.shape != (size,) or buffer.dtype != np.float64:
             raise ValueError(f"buffer must be ({size},) float64, got {buffer.shape} {buffer.dtype}")
         self.buffer = buffer
-        self._views = {
-            name: buffer[a:b].reshape(shape)
-            for (name, shape), a, b in zip(self.layout, self.offsets, self.offsets[1:])
+        a = self._views = {
+            name: buffer[start:stop].reshape(dims)
+            for (name, dims), start, stop in zip(self.layout, self.offsets, self.offsets[1:])
         }
+
+        def stack(branch, depth):
+            return tuple((a[f"{branch}.{i}.w"], a[f"{branch}.{i}.b"]) for i in range(depth))
+
+        self.specific_visible = stack("specific_visible", len(shape.specific_widths))
+        self.specific_thermal = stack("specific_thermal", len(shape.specific_widths))
+        self.shared = stack("shared", len(shape.shared_widths))
+        self.gem_p = a["gem_p"]  # 0-d so it can be updated like any parameter
+        self.bn_gamma = a["bn.gamma"]
+        self.bn_beta = a["bn.beta"]
+        self.bn_running_mean = a["bn.running_mean"]
+        self.bn_running_var = a["bn.running_var"]
+        self.cls_w = a["classifier.w"]
+        self.cls_b = a["classifier.b"]
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -112,55 +138,18 @@ class FlatArrays(Mapping):
     def __len__(self) -> int:
         return len(self._views)
 
-    def zeros_like(self) -> "FlatArrays":
-        return FlatArrays(self.layout)
-
     def name_at(self, element: int) -> str:
         """Name of the array holding flat buffer element ``element``."""
         return self.layout[bisect.bisect_right(self.offsets, element) - 1][0]
 
-
-class EncoderParams:
-    """All weights plus BN running statistics (stored but not trained).
-
-    Every array lives in one float64 buffer, ``arrays.buffer``, laid out in
-    :meth:`named_arrays` order; each attribute is a view into it. Write
-    parameters in place (``w[...] = value``); the layer stacks are tuples of
-    ``(w, b)`` views so that a layer cannot be rebound out of the buffer.
-    """
-
-    def __init__(self, shape: EncoderShape, buffer: np.ndarray | None = None):
-        self.shape = shape
-        self.arrays = FlatArrays(param_layout(shape), buffer)
-        a = self.arrays
-
-        def stack(branch, depth):
-            return tuple((a[f"{branch}.{i}.w"], a[f"{branch}.{i}.b"]) for i in range(depth))
-
-        self.specific_visible = stack("specific_visible", len(shape.specific_widths))
-        self.specific_thermal = stack("specific_thermal", len(shape.specific_widths))
-        self.shared = stack("shared", len(shape.shared_widths))
-        self.gem_p = a["gem_p"]  # 0-d so it can be updated like any parameter
-        self.bn_gamma = a["bn.gamma"]
-        self.bn_beta = a["bn.beta"]
-        self.bn_running_mean = a["bn.running_mean"]
-        self.bn_running_var = a["bn.running_var"]
-        self.cls_w = a["classifier.w"]
-        self.cls_b = a["classifier.b"]
-
-    @property
-    def buffer(self) -> np.ndarray:
-        return self.arrays.buffer
-
-    def named_arrays(self):
-        """(name, array) for every stored array, in canonical order."""
-        return self.arrays.items()
-
     def trainable_names(self) -> list[str]:
-        names = [n for n in self.arrays if not n.startswith("bn.running")]
+        names = [n for n in self if not n.startswith("bn.running")]
         if not self.shape.gem_p_learnable:
             names.remove("gem_p")
         return names
+
+    def zeros_like(self) -> "EncoderParams":
+        return EncoderParams(self.shape)
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.shape, self.buffer.copy())
@@ -198,7 +187,8 @@ def _run_stack(layers, x, record=None):
 
 @dataclass
 class Tape:
-    """Everything the matching backward pass needs."""
+    """A forward pass's outputs (``pooled``, ``bn_features``, ``logits``)
+    and everything the matching backward pass needs."""
 
     params: EncoderParams
     train: bool
@@ -212,16 +202,8 @@ class Tape:
     pooled: np.ndarray
     bn_ivar: np.ndarray
     bn_xhat: np.ndarray
-    bn_out: np.ndarray
-    logits: np.ndarray
-
-
-@dataclass(frozen=True)
-class Forward:
-    pooled: np.ndarray
     bn_features: np.ndarray
     logits: np.ndarray
-    tape: Tape
 
 
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
@@ -282,7 +264,7 @@ def forward(
     descriptors,
     modalities,
     train: bool = True,
-) -> Forward:
+) -> Tape:
     """Run the two-stream encoder over a batch of descriptor grids.
 
     In training mode BN uses batch statistics and updates the running ones in
@@ -302,12 +284,10 @@ def forward(
     else:
         mu = params.bn_running_mean
         var = params.bn_running_var
-    ivar, xhat, bn_out = _batch_norm(params, pooled, mu, var)
-    logits = bn_out @ params.cls_w + params.cls_b
-
-    tape = Tape(params, train, vis_rows, th_rows, *records,
-                gem_in, gem_mean, pooled, ivar, xhat, bn_out, logits)
-    return Forward(pooled=pooled, bn_features=bn_out, logits=logits, tape=tape)
+    ivar, xhat, bn_features = _batch_norm(params, pooled, mu, var)
+    logits = bn_features @ params.cls_w + params.cls_b
+    return Tape(params, train, vis_rows, th_rows, *records,
+                gem_in, gem_mean, pooled, ivar, xhat, bn_features, logits)
 
 
 def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> np.ndarray:
@@ -324,26 +304,28 @@ def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> n
     return _batch_norm(params, pooled, params.bn_running_mean, params.bn_running_var)[2]
 
 
-def _stack_backward(layers, record, d_out, grads, prefix, input_grad=True):
-    # the gradient at the stack's input, or None without ``input_grad``,
-    # which skips the first layer's d_pre @ w.T
+def _stack_backward(layers, record, d_out, grad_layers, input_grad=True):
+    # writes each layer's (w, b) gradient into ``grad_layers``; returns the
+    # gradient at the stack's input, or None without ``input_grad``, which
+    # skips the first layer's d_pre @ w.T
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         x, pre = record[i]
         d_pre = d_out * (pre > 0)
-        np.matmul(x.T, d_pre, out=grads[f"{prefix}.{i}.w"])
-        np.add.reduce(d_pre, axis=0, out=grads[f"{prefix}.{i}.b"])
+        np.matmul(x.T, d_pre, out=grad_layers[i][0])
+        np.add.reduce(d_pre, axis=0, out=grad_layers[i][1])
         if i > 0 or input_grad:
             d_out = d_pre @ w.T
     return d_out if input_grad else None
 
 
-def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
+def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
     """Exact gradients of (grad_pooled . pooled + grad_logits . logits).
 
-    Returns a gradient buffer laid out like the parameters'; the slots of
-    untrained arrays (BN running statistics, a fixed GeM power) stay 0. BN
-    batch statistics are differentiated through in training mode.
+    Returns the gradient as an :class:`EncoderParams` of the parameters'
+    shape; the arrays of untrained ones (BN running statistics, a fixed GeM
+    power) stay 0. BN batch statistics are differentiated through in
+    training mode.
     """
     params = tape.params
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
@@ -356,18 +338,18 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match tape logits {tape.logits.shape}"
         )
-    grads = params.arrays.zeros_like()
+    grads = params.zeros_like()
     n, h = tape.gem_in.shape[:2]
 
     # classifier
-    np.matmul(tape.bn_out.T, grad_logits, out=grads["classifier.w"])
-    np.add.reduce(grad_logits, axis=0, out=grads["classifier.b"])
-    d_bn_out = grad_logits @ params.cls_w.T
+    np.matmul(tape.bn_features.T, grad_logits, out=grads.cls_w)
+    np.add.reduce(grad_logits, axis=0, out=grads.cls_b)
+    d_bn_features = grad_logits @ params.cls_w.T
 
     # batch norm
-    grads["bn.gamma"] = (d_bn_out * tape.bn_xhat).sum(axis=0)
-    grads["bn.beta"] = d_bn_out.sum(axis=0)
-    d_xhat = d_bn_out * params.bn_gamma
+    grads.bn_gamma[...] = (d_bn_features * tape.bn_xhat).sum(axis=0)
+    grads.bn_beta[...] = d_bn_features.sum(axis=0)
+    d_xhat = d_bn_features * params.bn_gamma
     if tape.train:
         m = float(n)
         d_pooled_bn = (tape.bn_ivar / m) * (
@@ -393,19 +375,15 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> FlatArrays:
             tape.pooled * (-log_m / p**2 + mean_xlogx / (p * np.where(m_pos, tape.gem_mean, 1.0))),
             0.0,
         )
-        grads["gem_p"] = np.asarray((d_pooled * d_p_per).sum())
+        grads.gem_p[...] = (d_pooled * d_p_per).sum()
 
     d_shared_out = d_gem_in.reshape(n * h, -1)
-    d_mid = _stack_backward(params.shared, tape.shared, d_shared_out, grads, "shared")
+    d_mid = _stack_backward(params.shared, tape.shared, d_shared_out, grads.shared)
     # the descriptors take no gradient
-    _stack_backward(
-        params.specific_visible, tape.specific_visible, d_mid[tape.vis_rows],
-        grads, "specific_visible", input_grad=False,
-    )
-    _stack_backward(
-        params.specific_thermal, tape.specific_thermal, d_mid[tape.th_rows],
-        grads, "specific_thermal", input_grad=False,
-    )
+    _stack_backward(params.specific_visible, tape.specific_visible, d_mid[tape.vis_rows],
+                    grads.specific_visible, input_grad=False)
+    _stack_backward(params.specific_thermal, tape.specific_thermal, d_mid[tape.th_rows],
+                    grads.specific_thermal, input_grad=False)
     return grads
 
 
@@ -446,7 +424,7 @@ class SgdState:
 
 def sgd_step(
     params: EncoderParams,
-    grads: FlatArrays,
+    grads: EncoderParams,
     state: SgdState,
     hyper: SgdHyper,
     epoch: int = 0,
@@ -459,7 +437,7 @@ def sgd_step(
     parameter changes. Untrained arrays have zero gradient slots (as
     :func:`backward` leaves them) and no decay, so they stay as they are.
     """
-    if grads.layout != params.arrays.layout:
+    if grads.layout != params.layout:
         raise ValueError("gradient layout does not match the parameters")
     g = grads.buffer
     if not np.isfinite(g).all():
@@ -473,7 +451,7 @@ def sgd_step(
         decayed = set(params.trainable_names()) - {"bn.gamma", "bn.beta", "gem_p"}
         state.decay = np.concatenate([
             np.full(arr.size, hyper.weight_decay * (name in decayed))
-            for name, arr in params.named_arrays()
+            for name, arr in params.items()
         ])
     lr = hyper.base_lr * lr_factor(epoch, hyper)
     arr, v = params.buffer, state.velocity
@@ -500,7 +478,7 @@ def save_checkpoint(params: EncoderParams, path) -> None:
         "shape": asdict(params.shape),
         "arrays": [
             {"name": name, "shape": list(shape), "dtype": "<f8"}
-            for name, shape in params.arrays.layout
+            for name, shape in params.layout
         ],
     }
     with open(path, "wb") as fh:
@@ -530,11 +508,11 @@ def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> Encoder
             )
         params = EncoderParams(shape)
         table = tuple((e["name"], tuple(e["shape"])) for e in header["arrays"])
-        if table != params.arrays.layout:
+        if table != params.layout:
             raise ValueError(f"{path}: array table does not match the declared architecture")
         blob = fh.read(params.buffer.nbytes)
         if len(blob) != params.buffer.nbytes:
-            name = params.arrays.name_at(len(blob) // 8)
+            name = params.name_at(len(blob) // 8)
             raise ValueError(f"{path}: truncated blob for {name!r}")
         trailing = len(fh.read())
         if trailing:
@@ -546,9 +524,7 @@ def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> Encoder
 __all__ = [
     "EncoderShape",
     "EncoderParams",
-    "FlatArrays",
     "param_layout",
-    "Forward",
     "Tape",
     "SgdHyper",
     "SgdState",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .data import CellIndex, FeatureSet, cell_index
+from .data import FeatureSet
 from .kernels import KernelSpec
 from .mmd import LossValue, MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
@@ -84,19 +84,14 @@ def loss_id(logits, labels) -> LossValue:
     return LossValue(loss, grad)
 
 
-def hetero_centers(
-    batch: FeatureSet, index: CellIndex | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-identity centroids of each modality.
+def hetero_centers(batch: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-identity centroids of each modality, over the batch's ``cells``.
 
-    Returns (identities ascending, visible centers, thermal centers).
-    ``index`` is the batch's :func:`~xreid.data.cell_index`, built here when
-    not given. Each centroid sums its rows in row order, starting from the
-    first, which is what numpy's ``mean(axis=0)`` does on two or more
-    feature columns.
+    Returns (identities ascending, visible centers, thermal centers). Each
+    centroid sums its rows in row order, starting from the first, which is
+    what numpy's ``mean(axis=0)`` does on two or more feature columns.
     """
-    if index is None:
-        index = cell_index(batch.identities, batch.modalities)
+    index = batch.cells
     gap = index.first_empty()
     if gap is not None:
         raise ValueError(f"identity {gap[0]} has no {'thermal' if gap[1] else 'visible'} samples")
@@ -114,18 +109,14 @@ def _directions(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
 
 
-def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig, index: CellIndex | None = None) -> LossValue:
+def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> LossValue:
     """Hetero-center triplet loss with batch-hard negative mining over centers.
 
     Hinge terms at exactly zero are inactive; ties in the hardest-negative
     minimum are broken by a fixed candidate order (ascending identity, visible
     before thermal), and only the first minimizer receives gradient.
-    ``index`` is the batch's :func:`~xreid.data.cell_index`, built here when
-    not given.
     """
-    if index is None:
-        index = cell_index(batch.identities, batch.modalities)
-    ids, cv, ct = hetero_centers(batch, index)
+    ids, cv, ct = hetero_centers(batch)
     p = len(ids)
     if p < 2:
         raise ValueError(f"hc-tri needs >= 2 identities in the batch, got {p}")
@@ -162,7 +153,7 @@ def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig, index: CellIndex | None = N
     np.add.at(grad_cells, targets.ravel(), updates)
 
     # centers are means, so each member feature receives grad / cell size
-    return LossValue(loss, (grad_cells / index.counts[:, None])[index.cell])
+    return LossValue(loss, (grad_cells / batch.cells.counts[:, None])[batch.cells.cell])
 
 
 def loss_total(
@@ -182,8 +173,8 @@ def loss_total(
     ``mmd_variant`` selects which distribution-alignment loss the
     ``lambda_margin_mmd`` weight applies to (the margin-gated one by default;
     ``"id"`` and ``"marginal"`` exist for ablations, ``"none"`` for pure
-    baselines). Terms with zero weight are skipped outright. The batch's
-    cell index is built once and shared by the per-class MMD and hc-tri.
+    baselines). Terms with zero weight are skipped outright. The per-class
+    MMD and hc-tri share the batch's ``cells``.
     """
     if mmd_variant not in MMD_VARIANTS:
         raise ValueError(f"mmd_variant must be one of {MMD_VARIANTS}, got {mmd_variant!r}")
@@ -194,7 +185,6 @@ def loss_total(
     grad_pooled = np.zeros_like(batch.features)
     grad_logits = np.zeros_like(logits)
     id_loss = mmd_loss = hctri_loss = _SKIPPED
-    index = cell_index(batch.identities, batch.modalities)
 
     if weights.lambda_id != 0.0:
         id_loss = loss_id(logits, labels)
@@ -202,15 +192,15 @@ def loss_total(
 
     if weights.lambda_margin_mmd != 0.0 and mmd_variant != "none":
         if mmd_variant == "margin_id":
-            mmd_loss = loss_margin_mmd_id(batch, kernel_spec, margin, estimator, index)
+            mmd_loss = loss_margin_mmd_id(batch, kernel_spec, margin, estimator)
         elif mmd_variant == "id":
-            mmd_loss = loss_mmd_id(batch, kernel_spec, estimator, index)
+            mmd_loss = loss_mmd_id(batch, kernel_spec, estimator)
         else:
             mmd_loss = loss_mmd_marginal(batch, kernel_spec, estimator)
         grad_pooled += weights.lambda_margin_mmd * mmd_loss.grad
 
     if weights.lambda_hctri != 0.0:
-        hctri_loss = loss_hc_tri(batch, hctri, index)
+        hctri_loss = loss_hc_tri(batch, hctri)
         grad_pooled += weights.lambda_hctri * hctri_loss.grad
 
     total = (

@@ -185,22 +185,14 @@ def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "bia
     return LossValue(value, grad)
 
 
-def loss_mmd_id(
-    batch: FeatureSet,
-    spec: KernelSpec,
-    estimator: str = "biased",
-    index: CellIndex | None = None,
-) -> LossValue:
+def loss_mmd_id(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> LossValue:
     """Average per-identity MMD^2 between modalities, with gradients.
 
-    Each identity gets its own median-heuristic bandwidth; the unbiased
-    average is signed, not clamped at 0. ``index`` is the batch's
-    :func:`~xreid.data.cell_index`, built here when not given.
+    Each identity of the batch's ``cells`` gets its own median-heuristic
+    bandwidth; the unbiased average is signed, not clamped at 0.
     """
-    if index is None:
-        index = cell_index(batch.identities, batch.modalities)
-    (mmd2, _, _, _), _, value, grad = _engine(batch.features, index, spec, estimator)
-    return LossValue(value, grad, index.ids, mmd2)
+    (mmd2, _, _, _), _, value, grad = _engine(batch.features, batch.cells, spec, estimator)
+    return LossValue(value, grad, batch.cells.ids, mmd2)
 
 
 def loss_margin_mmd_id(
@@ -208,7 +200,6 @@ def loss_margin_mmd_id(
     spec: KernelSpec,
     margin: MarginConfig,
     estimator: str = "biased",
-    index: CellIndex | None = None,
 ) -> LossValue:
     """Margin-gated class-conditional MMD loss.
 
@@ -217,13 +208,10 @@ def loss_margin_mmd_id(
     surviving terms. At rho = 0 no class is gated, for either estimator, so
     the value, gradient and per-class MMD^2 equal :func:`loss_mmd_id`'s
     bitwise. ``active_classes`` counts the classes the gate passed.
-    ``index`` is as for :func:`loss_mmd_id`.
     """
-    if index is None:
-        index = cell_index(batch.identities, batch.modalities)
     rho = margin.rho if margin.rho > 0 else None
-    (mmd2, _, _, _), active, value, grad = _engine(batch.features, index, spec, estimator, rho)
-    return LossValue(value, grad, index.ids, mmd2, int(active.sum()))
+    (mmd2, _, _, _), active, value, grad = _engine(batch.features, batch.cells, spec, estimator, rho)
+    return LossValue(value, grad, batch.cells.ids, mmd2, int(active.sum()))
 
 
 __all__ = [

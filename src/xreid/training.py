@@ -114,7 +114,7 @@ def run_training(
                 raise TrainingDiverged(
                     f"non-finite loss {bundle.total} at epoch {epoch}", last_good, epoch
                 )
-            grads = backward(out.tape, bundle.grad_pooled, bundle.grad_logits)
+            grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
             sgd_step(params, grads, state, hyper, epoch)
 
             sums += (bundle.total, bundle.id_term, bundle.margin_mmd_term, bundle.hctri_term)

@@ -180,8 +180,8 @@ def test_criterion_2_gradient_suite():
             return bundle, out
 
         bundle, out = total()
-        grads = backward(out.tape, bundle.grad_pooled, bundle.grad_logits)
-        for name, arr in params.named_arrays():
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        for name, arr in params.items():
             if name.startswith("bn.running") or name == "gem_p":
                 continue
             fd = fd_gradient(lambda: total()[0].total, arr)

@@ -176,6 +176,16 @@ class TestTrainEval:
         cmd_train(workspace)
         assert counters.kernel_pairs.count == 0
 
+    @pytest.mark.parametrize("setting, message", [
+        ("encoder.specific_widths=0", "encoder specific_widths must be >= 1, got (0,)"),
+        ("encoder.shared_widths=64,0", "encoder shared_widths must be >= 1, got (64, 0)"),
+        ("encoder.shared_widths=64,-1", "encoder shared_widths must be >= 1, got (64, -1)"),
+    ])
+    def test_width_below_one_is_one_error_line(self, workspace, capsys, setting, message):
+        code = main(["train", "--set", f"output.dir={workspace.output_dir}", "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_dataset_reported(self, tmp_path, capsys):
         code = main(["train", "--set", f"output.dir={tmp_path / 'nowhere'}"])
         assert code != 0

@@ -12,6 +12,7 @@ from xreid.data import (
     SyntheticSpec,
     THERMAL,
     VISIBLE,
+    cell_index,
     dump,
     generate,
     load,
@@ -173,6 +174,26 @@ class TestSampleBatch:
             BatchSpec(p=1, k=1)
         with pytest.raises(ValueError):
             BatchSpec(p=2, k=0)
+
+    def test_one_cell_index_per_dataset(self, train, monkeypatch):
+        import xreid.data as data_module
+
+        calls = []
+        build = data_module.cell_index
+        monkeypatch.setattr(data_module, "cell_index", lambda *a: calls.append(1) or build(*a))
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            sample_batch(train, BatchSpec(p=4, k=4), rng)
+        assert len(calls) == 1
+
+    def test_selected_set_builds_its_own_index(self, train):
+        features = FeatureSet(train.descriptors[:, 0], train.identities, train.modalities)
+        for labelled in (train, features):
+            whole = labelled.cells
+            part = labelled.select(labelled.identities != labelled.identities[0])
+            assert part.cells is not whole and part.cells is part.cells
+            assert np.array_equal(part.cells.ids, np.unique(part.identities))
+            assert np.array_equal(part.cells.cell, cell_index(part.identities, part.modalities).cell)
 
     def test_sampler_stream_and_epoch_size(self, train):
         sampler = BatchSampler(train, BatchSpec(p=4, k=4), np.random.default_rng(5))

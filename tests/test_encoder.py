@@ -45,6 +45,22 @@ def small_batch(rng, n=8, h=2, din=3):
     return descriptors, modalities, identities
 
 
+class TestShape:
+    @pytest.mark.parametrize("widths, message", [
+        ({"specific_widths": (0,)}, r"specific_widths must be >= 1, got \(0,\)"),
+        ({"shared_widths": (64, -1)}, r"shared_widths must be >= 1, got \(64, -1\)"),
+    ])
+    def test_width_below_one_rejected(self, widths, message):
+        with pytest.raises(ValueError, match=message):
+            EncoderShape(descriptor_dim=3, num_classes=2, **widths)
+
+    def test_empty_stacks_are_valid(self):
+        shape = EncoderShape(descriptor_dim=3, num_classes=2, specific_widths=(), shared_widths=())
+        params = init_params(shape, np.random.default_rng(0))
+        out = forward(params, np.ones((2, 2, 3)), np.array([VISIBLE, THERMAL]))
+        assert shape.embedding_dim == 3 and out.pooled.shape == (2, 3)
+
+
 class TestGemPool:
     def test_p1_is_mean(self):
         assert gem_pool([1.0, 2.0, 6.0], 1.0) == pytest.approx(3.0, abs=1e-12)
@@ -189,7 +205,7 @@ class TestBackward:
         params = small_params(rng)
         descriptors, modalities, _ = small_batch(rng)
         out = forward(params, descriptors, modalities, train=True)
-        grads = backward(out.tape, np.zeros_like(out.pooled), np.zeros_like(out.logits))
+        grads = backward(out, np.zeros_like(out.pooled), np.zeros_like(out.logits))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_single_dense_layer_outer_product(self):
@@ -204,7 +220,7 @@ class TestBackward:
         x = np.array([[[1.0, 2.0]], [[0.5, -1.0]]])  # (2 samples, H=1, 2)
         out = forward(params, x, np.array([VISIBLE, VISIBLE]), train=False)
         u = np.array([[1.0, -2.0], [0.5, 1.0]])
-        grads = backward(out.tape, u, np.zeros_like(out.logits))
+        grads = backward(out, u, np.zeros_like(out.logits))
         pre = x[:, 0, :] @ w
         d_pre = u * (pre > 0)
         assert np.allclose(grads["specific_visible.0.w"], x[:, 0, :].T @ d_pre, atol=1e-12)
@@ -214,8 +230,8 @@ class TestBackward:
         params = small_params(rng)
         descriptors, modalities, identities = small_batch(rng)
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
-        grads = backward(out.tape, bundle.grad_pooled, bundle.grad_logits)
-        for name, arr in params.named_arrays():
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        for name, arr in params.items():
             if name.startswith("bn.running") or name == "gem_p":
                 continue
             fd = fd_gradient(
@@ -229,7 +245,7 @@ class TestBackward:
         params = small_params(rng, gem_p=2.5, gem_p_learnable=True)
         descriptors, modalities, identities = small_batch(rng)
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
-        grads = backward(out.tape, bundle.grad_pooled, bundle.grad_logits)
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
         fd = fd_gradient(
             lambda: self.total_loss(params, descriptors, modalities, identities)[0].total,
             params.gem_p,
@@ -242,7 +258,7 @@ class TestBackward:
         descriptors, modalities, _ = small_batch(rng)
         out = forward(params, descriptors, modalities, train=True)
         with pytest.raises(ValueError, match="grad_pooled"):
-            backward(out.tape, np.zeros((2, 2)), np.zeros_like(out.logits))
+            backward(out, np.zeros((2, 2)), np.zeros_like(out.logits))
 
 
 class TestSgd:
@@ -250,7 +266,7 @@ class TestSgd:
         rng = np.random.default_rng(12)
         params = small_params(rng)
         w_before = params.shared[0][0].copy()
-        grads = params.arrays.zeros_like()
+        grads = params.zeros_like()
         g = np.ones_like(w_before)
         grads["shared.0.w"] = g
         hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0, warmup_epochs=0, total_epochs=100)
@@ -267,7 +283,7 @@ class TestSgd:
         g1 = np.full_like(w, 2.0)
         g2 = np.full_like(w, -1.0)
         for g in (g1, g2):
-            grads = params.arrays.zeros_like()
+            grads = params.zeros_like()
             grads["classifier.b"] = g
             sgd_step(params, grads, state, hyper, epoch=1)
         # v1 = g1, v2 = 0.9 g1 + g2; w = w0 - lr (v1 + v2)
@@ -279,7 +295,7 @@ class TestSgd:
         params = small_params(rng)
         params.bn_gamma[...] = 2.0
         params.cls_b[...] = 2.0
-        zero = params.arrays.zeros_like()
+        zero = params.zeros_like()
         hyper = SgdHyper(base_lr=1.0, momentum=0.0, weight_decay=0.1, warmup_epochs=0, total_epochs=10)
         sgd_step(params, zero, SgdState(), hyper, epoch=1)
         assert np.all(params.bn_gamma == 2.0)
@@ -298,7 +314,7 @@ class TestSgd:
     def test_nonfinite_gradient_aborts(self):
         rng = np.random.default_rng(15)
         params = small_params(rng)
-        grads = params.arrays.zeros_like()
+        grads = params.zeros_like()
         grads["shared.0.w"] = np.full_like(params.shared[0][0], np.nan)
         with pytest.raises(FloatingPointError, match="shared.0.w"):
             sgd_step(params, grads, SgdState(), SgdHyper(base_lr=0.1), epoch=0)
@@ -319,12 +335,12 @@ class TestSgd:
                     margin=MarginConfig(0.1), hctri=HcTriConfig(0.3),
                     weights=LossWeights(),
                 )
-                grads = backward(out.tape, bundle.grad_pooled, bundle.grad_logits)
+                grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
                 sgd_step(params, grads, state, hyper, epoch)
             return params
 
         a, b = train_once(), train_once()
-        for (name, arr_a), (_, arr_b) in zip(a.named_arrays(), b.named_arrays()):
+        for (name, arr_a), (_, arr_b) in zip(a.items(), b.items()):
             assert np.array_equal(arr_a, arr_b), name
 
 
@@ -338,7 +354,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path1)
         save_checkpoint(loaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
-        for (name, arr), (_, arr2) in zip(params.named_arrays(), loaded.named_arrays()):
+        for (name, arr), (_, arr2) in zip(params.items(), loaded.items()):
             assert np.array_equal(arr, arr2), name
 
     def test_expected_shape_mismatch(self, tmp_path):

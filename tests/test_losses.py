@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oracle_utils import fd_gradient, rel_error, softmax_ce_oracle
 from xreid import counters
 from xreid.data import FeatureSet, THERMAL, VISIBLE
 from xreid.kernels import KernelSpec
 from xreid.losses import (
+    MMD_VARIANTS,
     HcTriConfig,
     LossWeights,
     hetero_centers,
@@ -13,7 +16,7 @@ from xreid.losses import (
     loss_id,
     loss_total,
 )
-from xreid.mmd import MarginConfig
+from xreid.mmd import MarginConfig, loss_mmd_id
 
 SINGLE = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
 
@@ -373,9 +376,8 @@ class TestLossTotal:
 
     @pytest.mark.parametrize("variant", ["margin_id", "id"])
     def test_one_cell_index_per_call(self, monkeypatch, variant):
-        import xreid.losses as losses_module
-        import xreid.mmd as mmd_module
-        from xreid.mmd import loss_margin_mmd_id, loss_mmd_id
+        import xreid.data as data_module
+        from xreid.mmd import loss_margin_mmd_id
 
         rng = np.random.default_rng(14)
         batch, logits, labels = self.setup_batch(rng)
@@ -387,10 +389,10 @@ class TestLossTotal:
         hc_grad = loss_hc_tri(batch, HcTriConfig(0.3)).grad
 
         calls = []
-        build = losses_module.cell_index
-        monkeypatch.setattr(losses_module, "cell_index", lambda *a: calls.append(1) or build(*a))
-        monkeypatch.setattr(mmd_module, "cell_index", None)  # the index comes from loss_total
-        bundle = loss_total(batch, logits, labels, **self.kwargs(weights, variant=variant))
+        build = data_module.cell_index
+        monkeypatch.setattr(data_module, "cell_index", lambda *a: calls.append(1) or build(*a))
+        fresh = make_batch(batch.features, batch.identities, batch.modalities)
+        bundle = loss_total(fresh, logits, labels, **self.kwargs(weights, variant=variant))
         assert len(calls) == 1
         expected = np.zeros_like(batch.features)
         expected += weights.lambda_margin_mmd * mmd.grad
@@ -403,3 +405,43 @@ class TestLossTotal:
             LossWeights(lambda_id=-1.0)
         with pytest.raises(ValueError):
             HcTriConfig(-0.5)
+
+
+@st.composite
+def ragged_batches(draw, min_cell):
+    """A batch of 2-4 identities with 1-4 rows (at least ``min_cell``) in each
+    (identity, modality) cell, rows in cell order, with its logits, labels
+    and a row permutation."""
+    n_ids = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(min_cell, 4), min_size=2 * n_ids, max_size=2 * n_ids))
+    cells = np.repeat(np.arange(2 * n_ids), counts)
+    identities, modalities = cells // 2, cells % 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.standard_normal((n_ids, 2, 3))
+    features = shift[identities, modalities] + 0.5 * rng.standard_normal((len(cells), 3))
+    logits = rng.standard_normal((len(cells), n_ids))
+    perm = np.array(draw(st.permutations(range(len(cells)))))
+    return make_batch(features, identities, modalities), logits, identities, perm
+
+
+class TestLossTotalRowOrder:
+    @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+    @pytest.mark.parametrize("variant", MMD_VARIANTS)
+    @given(data=st.data())
+    def test_shuffled_rows_give_the_same_loss(self, variant, estimator, data):
+        batch, logits, labels, perm = data.draw(ragged_batches(2 if estimator == "unbiased" else 1))
+        spec = KernelSpec(mixture_scales=(0.0625, 0.125, 0.25, 0.5))
+        # the gate must not sit on a class's MMD^2, where rounding could flip it
+        rho = data.draw(st.floats(0.0, 1.0))
+        mmd2 = loss_mmd_id(batch, spec, estimator).class_mmd2
+        assume(np.abs(mmd2 - rho).min() >= 1e-9)
+        kwargs = dict(kernel_spec=spec, margin=MarginConfig(rho), hctri=HcTriConfig(0.3),
+                      weights=LossWeights(), estimator=estimator, mmd_variant=variant)
+
+        want = loss_total(batch, logits, labels, **kwargs)
+        got = loss_total(batch.select(perm), logits[perm], labels[perm], **kwargs)
+        for term in ("total", "id_term", "margin_mmd_term", "hctri_term"):
+            assert getattr(got, term) == pytest.approx(getattr(want, term), rel=0, abs=1e-12), term
+        assert got.active_classes == want.active_classes
+        np.testing.assert_allclose(got.grad_pooled, want.grad_pooled[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.grad_logits, want.grad_logits[perm], rtol=0, atol=1e-12)

@@ -160,7 +160,7 @@ def sgd_setups(draw):
 
 
 def random_grads(params, rng):
-    grads = params.arrays.zeros_like()
+    grads = params.zeros_like()
     for name in params.trainable_names():
         grads[name] = rng.standard_normal(grads[name].shape)
     return grads
@@ -172,7 +172,7 @@ class TestSgdMatchesReference:
         shape, hyper, seed = setup
         rng = np.random.default_rng(seed)
         params = init_params(shape, rng)
-        arrays = {name: arr.copy() for name, arr in params.named_arrays()}
+        arrays = {name: arr.copy() for name, arr in params.items()}
         velocity = {}
         state = SgdState()
         for epoch in range(4):
@@ -180,7 +180,7 @@ class TestSgdMatchesReference:
             sgd_step(params, grads, state, hyper, epoch)
             sgd_step_reference(arrays, params.trainable_names(), grads, velocity, hyper,
                                hyper.base_lr * lr_factor(epoch, hyper), shape.gem_p_learnable)
-            for name, arr in params.named_arrays():
+            for name, arr in params.items():
                 assert np.array_equal(bits(arr), bits(arrays[name])), (epoch, name)
 
     @given(sgd_setups(), st.data())
@@ -194,7 +194,7 @@ class TestSgdMatchesReference:
         flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
         before = params.buffer.copy()
-        arrays = {n: arr.copy() for n, arr in params.named_arrays()}
+        arrays = {n: arr.copy() for n, arr in params.items()}
         got = outcome(lambda: sgd_step(params, grads, SgdState(), hyper, 0))[1]
         want = outcome(lambda: sgd_step_reference(
             arrays, params.trainable_names(), grads, {}, hyper, hyper.base_lr,

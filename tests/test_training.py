@@ -75,7 +75,7 @@ def test_divergence_carries_last_good_params():
     with pytest.raises(TrainingDiverged) as info, np.errstate(all="ignore"):
         run_training(cfg, train)
     assert info.value.last_good is not None
-    for _, arr in info.value.last_good.named_arrays():
+    for _, arr in info.value.last_good.items():
         assert np.all(np.isfinite(arr))
 
 
