@@ -9,31 +9,42 @@ from xreid import (
     FeatureSet,
     KernelSpec,
     MarginConfig,
-    gram,
     loss_margin_mmd_id,
     loss_mmd_marginal,
-    median_heuristic_bandwidth,
     mmd2_biased,
     mmd2_unbiased,
-    rbf_kernel,
 )
 from xreid.data import THERMAL, VISIBLE
+from xreid.kernels import mixture_kernel_matrix, resolve_bandwidth, squared_distances
+
+# Every kernel value goes through three steps: squared distances between
+# rows, a base bandwidth (fixed, or the median heuristic), and the uniform
+# mixture of RBF kernels at the spec's scales of that base.
+
+
+def kernel(xs, ys, spec):
+    """Kernel matrix between rows under a fixed-bandwidth spec."""
+    xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(spec.sigma_squared))
+
 
 print("== RBF kernel ==")
-print(f"k(x, x)                 = {rbf_kernel([1.0, 2.0], [1.0, 2.0], 1.0):.6f}  (always 1)")
-print(f"k([0], [2], sigma^2=2)  = {rbf_kernel([0.0], [2.0], 2.0):.6f}  (= exp(-1))")
+unit = KernelSpec(sigma_squared=1.0, mixture_scales=(1.0,))
+print(f"k(x, x)                 = {kernel([[1.0, 2.0]], [[1.0, 2.0]], unit)[0, 0]:.6f}  (always 1)")
+single = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
+print(f"k([0], [2], sigma^2=2)  = {kernel([[0.0]], [[2.0]], single)[0, 0]:.6f}  (= exp(-1))")
 
 print("\n== Median heuristic ==")
 points = np.array([[0.0], [1.0], [3.0]])
-print(f"pairwise d^2 of {{0, 1, 3}} are {{1, 4, 9}} -> bandwidth {median_heuristic_bandwidth(points)}")
+median = resolve_bandwidth(KernelSpec(), squared_distances(points, points)[None])[0]
+print(f"pairwise d^2 of {{0, 1, 3}} are {{1, 4, 9}} -> bandwidth {median}")
 
-print("\n== Gram matrix with a two-scale mixture ==")
+print("\n== Kernel matrix with a two-scale mixture ==")
 spec2 = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0, 2.0))
-g = gram([[0.0]], [[2.0]], spec2)
+g = kernel([[0.0]], [[2.0]], spec2)
 print(f"(exp(-1) + exp(-0.5)) / 2 = {g[0, 0]:.6f}")
 
 print("\n== MMD^2, biased vs unbiased ==")
-single = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
 xs = np.array([[0.0]])
 ys = np.array([[2.0]])
 est = mmd2_biased(xs, ys, single)

@@ -31,7 +31,7 @@ from .encoder import (
     sgd_step,
 )
 from .evaluation import EvalReport, SimilarityStats, cmc_map, evaluate, similarity_stats
-from .kernels import KernelSpec, gram, median_heuristic_bandwidth, rbf_kernel
+from .kernels import KernelSpec
 from .losses import (
     HcTriConfig,
     LossBundle,
@@ -63,9 +63,6 @@ __all__ = [
     "BatchSpec",
     "BatchSampler",
     "KernelSpec",
-    "rbf_kernel",
-    "median_heuristic_bandwidth",
-    "gram",
     "MmdEstimate",
     "MarginConfig",
     "mmd2_biased",

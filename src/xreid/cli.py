@@ -123,9 +123,7 @@ def _dump_embeddings(path, feats) -> None:
     dim = feats.features.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("identity,modality," + ",".join(f"e_{i}" for i in range(dim)) + "\n")
-        for i in range(len(feats)):
-            vals = ",".join(repr(v) for v in feats.features[i].tolist())
-            fh.write(f"{feats.identities[i]},{data._MODALITY_TOKEN[int(feats.modalities[i])]},{vals}\n")
+        data.write_rows(fh, feats.identities, feats.modalities, feats.features)
 
 
 def cmd_eval(config: ExperimentConfig, data_dir=None, checkpoint=None) -> EvalReport:

@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import BatchSpec, SyntheticSpec
@@ -26,8 +27,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected 'true' or 'false', got {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return value
+
+
 def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.split(",") if v.strip())
+    return tuple(_parse_float(v) for v in s.split(",") if v.strip())
 
 
 def _parse_int_list(s: str) -> tuple[int, ...]:
@@ -37,7 +45,7 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
 def _parse_bandwidth(s: str):
     if s == "median":
         return None
-    return float(s)
+    return _parse_float(s)
 
 
 def _parse_choice(*choices):
@@ -73,10 +81,10 @@ SCHEMA: dict[str, tuple] = {
     "data.samples_per_identity": (int, 20),
     "data.descriptor_count": (int, 4),
     "data.descriptor_dim": (int, 8),
-    "data.identity_spread": (float, 1.0),
-    "data.within_noise": (float, 0.08),
-    "data.thermal_noise_scale": (float, 2.0),
-    "data.modality_shift": (float, 4.0),
+    "data.identity_spread": (_parse_float, 1.0),
+    "data.within_noise": (_parse_float, 0.08),
+    "data.thermal_noise_scale": (_parse_float, 2.0),
+    "data.modality_shift": (_parse_float, 4.0),
     "data.per_identity_shift_rotation": (_parse_bool, True),
     "batch.p": (int, 4),
     "batch.k": (int, 4),
@@ -84,18 +92,18 @@ SCHEMA: dict[str, tuple] = {
     "kernel.mixture_scales": (_parse_float_list, (0.0625, 0.125, 0.25, 0.5)),
     "mmd.estimator": (_parse_choice("biased", "unbiased"), "biased"),
     "mmd.variant": (_parse_choice(*MMD_VARIANTS), "margin_id"),
-    "mmd.margin_rho": (float, 1.4),
-    "hctri.margin_rho1": (float, 0.3),
-    "loss.lambda_id": (float, 1.0),
-    "loss.lambda_margin_mmd": (float, 0.25),
-    "loss.lambda_hctri": (float, 2.0),
+    "mmd.margin_rho": (_parse_float, 1.4),
+    "hctri.margin_rho1": (_parse_float, 0.3),
+    "loss.lambda_id": (_parse_float, 1.0),
+    "loss.lambda_margin_mmd": (_parse_float, 0.25),
+    "loss.lambda_hctri": (_parse_float, 2.0),
     "encoder.specific_widths": (_parse_int_list, (32, 64)),
     "encoder.shared_widths": (_parse_int_list, (64, 64)),
-    "encoder.gem_p": (float, 3.0),
+    "encoder.gem_p": (_parse_float, 3.0),
     "encoder.gem_p_learnable": (_parse_bool, False),
-    "optim.base_lr": (float, 0.0005),
-    "optim.momentum": (float, 0.9),
-    "optim.weight_decay": (float, 0.0005),
+    "optim.base_lr": (_parse_float, 0.0005),
+    "optim.momentum": (_parse_float, 0.9),
+    "optim.weight_decay": (_parse_float, 0.0005),
     "optim.warmup_epochs": (int, 3),
     "train.epochs": (int, 60),
     "eval.trials": (int, 10),

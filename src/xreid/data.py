@@ -315,10 +315,14 @@ def dump(dataset: DescriptorSet, path) -> None:
     n, h, d = dataset.descriptors.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#version={_DUMP_VERSION},H={h},D_in={d}\n")
-        flat = dataset.descriptors.reshape(n, h * d)
-        for i in range(n):
-            vals = ",".join(repr(v) for v in flat[i].tolist())
-            fh.write(f"{dataset.identities[i]},{_MODALITY_TOKEN[int(dataset.modalities[i])]},{vals}\n")
+        write_rows(fh, dataset.identities, dataset.modalities, dataset.descriptors.reshape(n, h * d))
+
+
+def write_rows(fh, identities, modalities, values) -> None:
+    """Write one ``identity,v|t,x_0,...`` text row per sample of the (N, M)
+    ``values``, each float with ``repr`` so that reading it back is exact."""
+    for identity, modality, row in zip(identities, modalities, values):
+        fh.write(f"{identity},{_MODALITY_TOKEN[int(modality)]},{','.join(map(repr, row.tolist()))}\n")
 
 
 def _rows(fh):
@@ -423,5 +427,6 @@ __all__ = [
     "generate",
     "sample_batch",
     "dump",
+    "write_rows",
     "load",
 ]

@@ -52,7 +52,7 @@ class EncoderShape:
             if any(w < 1 for w in widths):
                 raise ValueError(f"encoder {name} must be >= 1, got {widths}")
             object.__setattr__(self, name, widths)
-        if self.gem_p < 1:
+        if not self.gem_p >= 1:
             raise ValueError(f"gem_p must be >= 1, got {self.gem_p}")
 
     @property

@@ -1,19 +1,22 @@
-"""RBF (Gaussian) kernels, Gram matrices, and bandwidth selection.
+"""RBF (Gaussian) kernel mixtures on squared distances, and bandwidth selection.
 
 Everything downstream (the MMD estimators and losses) is built on the single
-kernel k(x, y) = exp(-||x - y||^2 / (2 sigma^2)), optionally averaged over a
-mixture of bandwidth scales with uniform weights. The feature map is never
+kernel k(x, y) = exp(-||x - y||^2 / (2 sigma^2)), averaged over a mixture of
+bandwidth scales with uniform weights. The feature map is never
 materialized; only kernel values are.
 
-Kernels are evaluated on squared distances computed beforehand: one (N, M)
-matrix, or a (C, L, L) stack of blocks with one bandwidth row per block, as
-the MMD losses use. ``mixture_kernel_matrix`` can also return the weight
-matrix A of the analytic feature gradient from the same evaluation.
+The module holds ``KernelSpec`` (bandwidth strategy and mixture scales) and
+the three primitives the MMD engine calls in turn:
 
-Bandwidth is either fixed or chosen by the median heuristic (median of all
-pairwise squared distances over the data at hand). The heuristic is treated
-as a constant by every gradient computation in this library: no gradient
-flows through bandwidth selection.
+* ``squared_distances``: one (N, M) matrix, or a (C, L, L) stack of blocks;
+* ``resolve_bandwidth``: each block's base bandwidth, fixed or by the median
+  heuristic (median of the block's distinct pairwise squared distances);
+* ``mixture_kernel_matrix``: the kernel mixture over those distances, and
+  optionally the weight matrix A of the analytic feature gradient from the
+  same evaluation.
+
+The median heuristic is treated as a constant by every gradient computation
+in this library: no gradient flows through bandwidth selection.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class KernelSpec:
         scales = tuple(float(s) for s in self.mixture_scales)
         if len(scales) == 0:
             raise ValueError("mixture_scales must be nonempty")
-        if any(s <= 0 for s in scales):
+        if not all(s > 0 for s in scales):
             raise ValueError(f"mixture_scales must all be > 0, got {scales}")
         object.__setattr__(self, "mixture_scales", scales)
 
@@ -60,17 +63,6 @@ class KernelSpec:
         return np.multiply.outer(base, self.mixture_scales)
 
 
-def _as_matrix(xs, name: str) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if xs.ndim != 2:
-        raise ValueError(f"{name} must be a vector or an (N, D) matrix, got shape {xs.shape}")
-    if xs.shape[0] == 0:
-        raise ValueError(f"{name} is empty")
-    return xs
-
-
 def squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows, clipped at 0.
 
@@ -81,31 +73,6 @@ def squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     yy = np.einsum("...d,...d->...", ys, ys)[..., None, :]
     d2 = xx + yy - 2.0 * xs @ np.swapaxes(ys, -1, -2)
     return np.maximum(d2, 0.0)
-
-
-def rbf_kernel(x, y, sigma_squared: float) -> float:
-    """exp(-||x - y||^2 / (2 sigma^2)) for a single pair of vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: x has {x.shape[0]}, y has {y.shape[0]}")
-    if not sigma_squared > 0:
-        raise ValueError(f"sigma_squared must be > 0, got {sigma_squared}")
-    d = x - y
-    return float(np.exp(-np.dot(d, d) / (2.0 * sigma_squared)))
-
-
-def median_heuristic_bandwidth(features) -> float:
-    """Median of all N(N-1)/2 pairwise squared distances over the rows.
-
-    Returns 1.0 when the median is 0 (all points identical) so that a
-    collapsed batch never produces a degenerate bandwidth.
-    """
-    xs = _as_matrix(getattr(features, "features", features), "features")
-    n = xs.shape[0]
-    if n < 2:
-        raise ValueError(f"median heuristic needs at least 2 vectors, got {n}")
-    return float(resolve_bandwidth(KernelSpec(), squared_distances(xs, xs)[None])[0])
 
 
 @lru_cache(maxsize=8)
@@ -151,30 +118,10 @@ def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False
     return k, np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
 
 
-def gram(xs, ys, spec: KernelSpec) -> np.ndarray:
-    """(N, M) Gram matrix of the kernel mixture between two sets of vectors.
-
-    Under the median heuristic the base bandwidth is computed once from the
-    union of ``xs`` and ``ys`` for this call.
-    """
-    xs = _as_matrix(xs, "xs")
-    ys = _as_matrix(ys, "ys")
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError(f"dimension mismatch: xs has {xs.shape[1]}, ys has {ys.shape[1]}")
-    if spec.is_median_heuristic:
-        base = median_heuristic_bandwidth(np.vstack([xs, ys]))
-    else:
-        base = spec.sigma_squared
-    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base))
-
-
 __all__ = [
     "DEFAULT_MIXTURE_SCALES",
     "KernelSpec",
-    "rbf_kernel",
-    "median_heuristic_bandwidth",
     "resolve_bandwidth",
     "squared_distances",
     "mixture_kernel_matrix",
-    "gram",
 ]

@@ -39,7 +39,7 @@ class LossWeights:
     lambda_hctri: float = 2.0
 
     def __post_init__(self):
-        if self.lambda_id < 0 or self.lambda_margin_mmd < 0 or self.lambda_hctri < 0:
+        if not all(w >= 0 for w in (self.lambda_id, self.lambda_margin_mmd, self.lambda_hctri)):
             raise ValueError("loss weights must be >= 0")
 
 
@@ -48,7 +48,7 @@ class HcTriConfig:
     margin_rho1: float = 0.3
 
     def __post_init__(self):
-        if self.margin_rho1 < 0:
+        if not self.margin_rho1 >= 0:
             raise ValueError(f"hc-tri margin must be >= 0, got {self.margin_rho1}")
 
 

@@ -57,7 +57,7 @@ class MarginConfig:
     rho: float = 1.4
 
     def __post_init__(self):
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError(f"margin rho must be >= 0, got {self.rho}")
 
 

@@ -250,6 +250,13 @@ class TestSweep:
         assert err == "error: margin rho must be >= 0, got -1.0\n"
         assert not out.exists()
 
+    def test_non_finite_rho_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep-margin", "--rhos=nan,1", "--set", f"output.dir={out}"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: expected a finite number, got 'nan'\n"
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_sweep_table(self, tmp_path):
         cfg = tiny_config(tmp_path, **{"train.epochs": 1, "eval.trials": 2})
@@ -278,6 +285,20 @@ class TestMainEntry:
         code = main(["generate", "--set", "nope=1", "--set", f"output.dir={tmp_path}"])
         assert code != 0
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("key", ["mmd.margin_rho", "encoder.gem_p", "optim.base_lr", "kernel.mixture_scales"])
+    def test_non_finite_float_is_one_error_line(self, tmp_path, capsys, key, value):
+        sets = ["--set", f"output.dir={tmp_path}", "--set", "data.num_identities=10",
+                "--set", "data.samples_per_identity=2"]
+        assert main(["generate", *sets]) == 0
+        capsys.readouterr()
+        code = main(["train", *sets, "--set", f"{key}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --set: bad value for {key!r}: expected a finite number, got {value!r}\n"
+        )
+        assert not (tmp_path / "train").exists()
 
     def test_bad_set_format(self, tmp_path, capsys):
         code = main(["generate", "--set", "justakey"])

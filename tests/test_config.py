@@ -40,6 +40,9 @@ class TestParsing:
         assert cfg.values["kernel.sigma_squared"] is None
         cfg = ExperimentConfig.from_text("kernel.sigma_squared = 2.5\n")
         assert cfg.values["kernel.sigma_squared"] == 2.5
+        for bad in ("nan", "inf"):
+            with pytest.raises(ConfigError, match="bad value for 'kernel.sigma_squared'"):
+                ExperimentConfig.from_text(f"kernel.sigma_squared = {bad}\n")
 
     def test_choice_keys_validated(self):
         with pytest.raises(ConfigError, match="mmd.estimator"):

@@ -49,6 +49,7 @@ class TestShape:
     @pytest.mark.parametrize("widths, message", [
         ({"specific_widths": (0,)}, r"specific_widths must be >= 1, got \(0,\)"),
         ({"shared_widths": (64, -1)}, r"shared_widths must be >= 1, got \(64, -1\)"),
+        ({"gem_p": float("nan")}, r"gem_p must be >= 1, got nan"),
     ])
     def test_width_below_one_rejected(self, widths, message):
         with pytest.raises(ValueError, match=message):

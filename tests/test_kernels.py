@@ -1,59 +1,61 @@
 import numpy as np
 import pytest
 
+from oracle_utils import kernel_oracle, median_bandwidth_oracle
 from xreid.kernels import (
     DEFAULT_MIXTURE_SCALES,
     KernelSpec,
-    gram,
-    median_heuristic_bandwidth,
     mixture_kernel_matrix,
-    rbf_kernel,
     resolve_bandwidth,
     squared_distances,
 )
 
 
+def median_base(xs):
+    """The median heuristic's base bandwidth over the rows of ``xs``."""
+    return resolve_bandwidth(KernelSpec(), squared_distances(xs, xs)[None])[0]
+
+
+def kernel(xs, ys, spec):
+    """The (N, M) kernel mixture between rows, by the MMD engine's route; the
+    base bandwidth is the spec's fixed one, else the median over ``xs``."""
+    xs, ys = np.atleast_2d(xs).astype(np.float64), np.atleast_2d(ys).astype(np.float64)
+    base = median_base(xs) if spec.is_median_heuristic else spec.sigma_squared
+    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base))
+
+
+def single(sigma_squared):
+    return KernelSpec(sigma_squared=sigma_squared, mixture_scales=(1.0,))
+
+
 class TestRbfKernel:
     def test_zero_distance_is_one(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert rbf_kernel(x, x, 1.0) == 1.0
+        assert kernel(x, x, single(1.0))[0, 0] == 1.0
 
     def test_closed_form_1d(self):
         # exp(-(2-0)^2 / (2*2)) = exp(-1)
-        assert rbf_kernel([0.0], [2.0], 2.0) == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert kernel([0.0], [2.0], single(2.0))[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_closed_form_2d(self):
         # ||x-y||^2 = 2, exp(-2/2) = exp(-1)
-        assert rbf_kernel([1.0, 0.0], [0.0, 1.0], 1.0) == pytest.approx(np.exp(-1.0), abs=1e-15)
-
-    def test_dimension_mismatch_names_both(self):
-        with pytest.raises(ValueError, match="3.*2|dimension"):
-            rbf_kernel([1.0, 2.0, 3.0], [1.0, 2.0], 1.0)
-
-    def test_nonpositive_bandwidth(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match="sigma_squared"):
-                rbf_kernel([0.0], [1.0], bad)
+        assert kernel([1.0, 0.0], [0.0, 1.0], single(1.0))[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
 
 class TestMedianHeuristic:
     def test_two_points(self):
         # single pair, median is that pair's squared distance
         xs = np.array([[0.0], [3.0]])
-        assert median_heuristic_bandwidth(xs) == 9.0
+        assert median_base(xs) == 9.0
 
     def test_three_collinear_points(self):
         # pairwise squared distances {1, 4, 9} -> median 4
         xs = np.array([[0.0], [1.0], [3.0]])
-        assert median_heuristic_bandwidth(xs) == 4.0
+        assert median_base(xs) == 4.0
 
     def test_identical_points_fallback(self):
         xs = np.ones((5, 3))
-        assert median_heuristic_bandwidth(xs) == 1.0
-
-    def test_needs_two_vectors(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            median_heuristic_bandwidth(np.ones((1, 3)))
+        assert median_base(xs) == 1.0
 
 
 class TestKernelSpec:
@@ -64,6 +66,10 @@ class TestKernelSpec:
             KernelSpec(mixture_scales=())
         with pytest.raises(ValueError):
             KernelSpec(mixture_scales=(1.0, 0.0))
+        with pytest.raises(ValueError):
+            KernelSpec(mixture_scales=(float("nan"),))
+        with pytest.raises(ValueError):
+            KernelSpec(sigma_squared=float("nan"))
 
     def test_default_is_median_with_five_scales(self):
         spec = KernelSpec()
@@ -80,7 +86,7 @@ class TestGram:
     def test_self_gram_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((6, 3))
-        g = gram(xs, xs, KernelSpec())
+        g = kernel(xs, xs, KernelSpec())
         assert np.allclose(g, g.T, atol=1e-15)
         assert np.allclose(np.diag(g), 1.0, atol=1e-15)
 
@@ -88,14 +94,14 @@ class TestGram:
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((4, 2))
         ys = rng.standard_normal((5, 2))
-        g = gram(xs, ys, KernelSpec(sigma_squared=1.5, mixture_scales=(1.0,)))
+        g = kernel(xs, ys, single(1.5))
         for i in range(4):
             for j in range(5):
-                assert g[i, j] == pytest.approx(rbf_kernel(xs[i], ys[j], 1.5), rel=1e-12)
+                assert g[i, j] == pytest.approx(kernel_oracle(xs[i], ys[j], [1.5]), rel=1e-12)
 
     def test_two_scale_mixture_closed_form(self):
         # scales (1, 2) on x=0, y=2 with sigma^2=2: (exp(-1) + exp(-0.5)) / 2
-        g = gram([[0.0]], [[2.0]], KernelSpec(sigma_squared=2.0, mixture_scales=(1.0, 2.0)))
+        g = kernel([0.0], [2.0], KernelSpec(sigma_squared=2.0, mixture_scales=(1.0, 2.0)))
         expected = (np.exp(-1.0) + np.exp(-0.5)) / 2.0
         assert g[0, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.4872050, abs=5e-7)
@@ -105,22 +111,14 @@ class TestGram:
         xs = rng.standard_normal((5, 4))
         ys = rng.standard_normal((7, 4))
         spec = KernelSpec(sigma_squared=0.7, mixture_scales=(0.5, 1.0, 2.0))
-        assert np.allclose(gram(xs, ys, spec).T, gram(ys, xs, spec), atol=1e-15)
-
-    def test_median_heuristic_uses_union(self):
-        xs = np.array([[0.0], [1.0]])
-        ys = np.array([[3.0]])
-        # union pairwise squared distances {1, 9, 4} -> median 4
-        spec = KernelSpec(mixture_scales=(1.0,))
-        g = gram(xs, ys, spec)
-        assert g[0, 0] == pytest.approx(np.exp(-9.0 / 8.0), rel=1e-12)
+        assert np.allclose(kernel(xs, ys, spec).T, kernel(ys, xs, spec), atol=1e-15)
 
     def test_self_grams_positive_semidefinite(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = rng.integers(2, 9)
             xs = rng.standard_normal((n, rng.integers(1, 5)))
-            g = gram(xs, xs, KernelSpec())
+            g = kernel(xs, xs, KernelSpec())
             eigs = np.linalg.eigvalsh(g)
             assert eigs.min() >= -1e-8
 
@@ -129,7 +127,7 @@ class TestGram:
         xs = rng.standard_normal((5, 3))
         prev = None
         for s2 in (0.5, 1.0, 2.0, 4.0):
-            g = gram(xs, xs, KernelSpec(sigma_squared=s2, mixture_scales=(1.0,)))
+            g = kernel(xs, xs, single(s2))
             off = g[~np.eye(5, dtype=bool)]
             if prev is not None:
                 assert np.all(off > prev)
@@ -139,24 +137,19 @@ class TestGram:
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((4, 3))
         ys = rng.standard_normal((6, 3))
-        mixture = gram(xs, ys, KernelSpec(sigma_squared=1.3, mixture_scales=(1.0,)))
-        single = np.exp(-squared_distances(xs, ys) / (2.0 * 1.3))
-        assert np.array_equal(mixture, single)
+        mixture = kernel(xs, ys, single(1.3))
+        single_kernel = np.exp(-squared_distances(xs, ys) / (2.0 * 1.3))
+        assert np.array_equal(mixture, single_kernel)
 
     def test_row_col_counts(self):
-        g = gram(np.zeros((3, 2)), np.zeros((5, 2)), KernelSpec(sigma_squared=1.0))
+        g = kernel(np.zeros((3, 2)), np.zeros((5, 2)), KernelSpec(sigma_squared=1.0))
         assert g.shape == (3, 5)
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        g = gram(rng.standard_normal((8, 3)), rng.standard_normal((9, 3)), KernelSpec())
+        xs, ys = rng.standard_normal((8, 3)), rng.standard_normal((9, 3))
+        g = kernel(xs, ys, KernelSpec())
         assert np.all(g > 0) and np.all(g <= 1)
-
-    def test_empty_and_mismatched_inputs(self):
-        with pytest.raises(ValueError, match="empty"):
-            gram(np.zeros((0, 2)), np.zeros((3, 2)), KernelSpec(sigma_squared=1.0))
-        with pytest.raises(ValueError, match="dimension"):
-            gram(np.zeros((2, 2)), np.zeros((3, 4)), KernelSpec(sigma_squared=1.0))
 
 
 def test_mixture_kernel_matrix_uniform_weights():
@@ -195,5 +188,5 @@ class TestBlockStacks:
         d2[~(valid[:, :, None] & valid[:, None, :])] = np.inf
         bases = resolve_bandwidth(KernelSpec(), d2)
         for c in range(3):
-            assert bases[c] == pytest.approx(median_heuristic_bandwidth(xs[c][valid[c]]), abs=1e-12)
+            assert bases[c] == pytest.approx(median_bandwidth_oracle(xs[c][valid[c]]), abs=1e-12)
         assert resolve_bandwidth(KernelSpec(sigma_squared=2.5), d2).tolist() == [2.5, 2.5, 2.5]

@@ -16,7 +16,7 @@ from xreid.losses import (
     loss_id,
     loss_total,
 )
-from xreid.mmd import MarginConfig, loss_mmd_id
+from xreid.mmd import MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
 SINGLE = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
 
@@ -401,10 +401,13 @@ class TestLossTotal:
         assert bundle.margin_mmd_term == mmd.value
 
     def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_id=-1.0)
-        with pytest.raises(ValueError):
-            HcTriConfig(-0.5)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                LossWeights(lambda_id=bad)
+            with pytest.raises(ValueError):
+                LossWeights(lambda_hctri=bad)
+            with pytest.raises(ValueError):
+                HcTriConfig(bad / 2)
 
 
 @st.composite
@@ -445,3 +448,29 @@ class TestLossTotalRowOrder:
         assert got.active_classes == want.active_classes
         np.testing.assert_allclose(got.grad_pooled, want.grad_pooled[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.grad_logits, want.grad_logits[perm], rtol=0, atol=1e-12)
+
+
+class TestMmdTranslation:
+    @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+    @pytest.mark.parametrize("loss", ["marginal", "id", "margin_id"])
+    @given(data=st.data())
+    def test_shifting_every_row_changes_nothing(self, loss, estimator, data):
+        batch, _, _, _ = data.draw(ragged_batches(2 if estimator == "unbiased" else 1))
+        offset = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)))
+        spec = KernelSpec(mixture_scales=(0.0625, 0.125, 0.25, 0.5))
+        # the gate must not sit on a class's MMD^2, where the shift's rounding could flip it
+        rho = data.draw(st.floats(0.0, 1.0))
+        assume(np.abs(loss_mmd_id(batch, spec, estimator).class_mmd2 - rho).min() >= 1e-6)
+        run = {
+            "marginal": lambda b: loss_mmd_marginal(b, spec, estimator),
+            "id": lambda b: loss_mmd_id(b, spec, estimator),
+            "margin_id": lambda b: loss_margin_mmd_id(b, spec, MarginConfig(rho), estimator),
+        }[loss]
+
+        want = run(batch)
+        got = run(make_batch(batch.features + offset, batch.identities, batch.modalities))
+        assert got.value == pytest.approx(want.value, rel=0, abs=1e-9)
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-9)
+        if loss != "marginal":
+            np.testing.assert_allclose(got.class_mmd2, want.class_mmd2, rtol=0, atol=1e-9)
+            assert got.active_classes == want.active_classes

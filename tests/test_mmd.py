@@ -299,8 +299,9 @@ class TestMarginLoss:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            MarginConfig(-0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match=">= 0"):
+                MarginConfig(bad)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
