@@ -125,15 +125,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_identities < 1 or self.samples_per_identity_per_modality < 1:
+        # each check is written as `not x > 0` / `not x >= 0`, so NaN fails it
+        if not (self.num_identities >= 1 and self.samples_per_identity_per_modality >= 1):
             raise ValueError("counts must be >= 1")
-        if self.descriptor_count < 1 or self.descriptor_dim < 1:
+        if not (self.descriptor_count >= 1 and self.descriptor_dim >= 1):
             raise ValueError("descriptor shape must be >= 1")
-        if self.identity_spread <= 0 or self.within_noise < 0:
+        if not (self.identity_spread > 0 and self.within_noise >= 0):
             raise ValueError("identity_spread must be > 0 and within_noise >= 0")
-        if self.thermal_noise_scale < 0:
+        if not self.thermal_noise_scale >= 0:
             raise ValueError("thermal_noise_scale must be >= 0")
-        if self.modality_shift < 0:
+        if not self.modality_shift >= 0:
             raise ValueError("modality_shift must be >= 0")
 
 

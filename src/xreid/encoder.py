@@ -177,26 +177,37 @@ def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
 
 
 def _run_stack(layers, x, record=None):
+    # bias and ReLU in place on each layer's product; ``record`` gets every
+    # layer's input and then the stack's output
     for w, b in layers:
-        pre = x @ w + b
         if record is not None:
-            record.append((x, pre))
-        x = np.maximum(pre, 0.0)
+            record.append(x)
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
+    if record is not None:
+        record.append(x)
     return x
 
 
 @dataclass
 class Tape:
     """A forward pass's outputs (``pooled``, ``bn_features``, ``logits``)
-    and everything the matching backward pass needs."""
+    and everything the matching backward pass needs.
+
+    Each dense stack is recorded as depth + 1 arrays: every layer's input,
+    then the stack's (post-ReLU) output. No pre-activation is kept: a layer's
+    ReLU mask is taken from its output, which is > 0 exactly where the
+    pre-activation is. ``backward`` reads the tape and never writes to it.
+    """
 
     params: EncoderParams
     train: bool
     vis_rows: np.ndarray
     th_rows: np.ndarray
-    specific_visible: list  # (input, pre-activation) per layer
+    specific_visible: list  # each layer's input, then the stack's output
     specific_thermal: list
-    shared: list
+    shared: list            # its last array is gem_in's buffer
     gem_in: np.ndarray      # (N, H, D) post-ReLU descriptor outputs
     gem_mean: np.ndarray    # (N, D) mean of x^p
     pooled: np.ndarray
@@ -211,9 +222,12 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
 
     numpy's float64 power is several times slower at 0 than elsewhere, and
     about half of the post-ReLU GeM inputs are exactly 0; they are raised as
-    1 and zeroed after (so a ``-0.0`` comes out as ``+0.0``). Wrong for
-    ``p <= 0``, where ``0 ** p`` is not 0.
+    1 and zeroed after (so a ``-0.0`` comes out as ``+0.0``). At ``p == 2``
+    numpy squares, which is fast at 0 too. Wrong for ``p <= 0``, where
+    ``0 ** p`` is not 0.
     """
+    if p == 2.0:
+        return np.square(x)
     zero = x == 0
     y = x + zero
     np.power(y, p, out=y)
@@ -226,7 +240,8 @@ def _pool(params: EncoderParams, descriptors, modalities, records=(None, None, N
 
     Returns the flat rows of each modality, the GeM input, its mean of x^p
     and the pooled features. With ``records`` (one list per stack: visible,
-    thermal, shared) each layer's (input, pre-activation) is appended.
+    thermal, shared) each stack appends its layers' inputs and its output;
+    the shared stack's output is the GeM input's buffer.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     modalities = np.asarray(modalities)
@@ -307,15 +322,16 @@ def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> n
 def _stack_backward(layers, record, d_out, grad_layers, input_grad=True):
     # writes each layer's (w, b) gradient into ``grad_layers``; returns the
     # gradient at the stack's input, or None without ``input_grad``, which
-    # skips the first layer's d_pre @ w.T
+    # skips the first layer's product with w.T. ``d_out`` is the caller's to
+    # overwrite: each layer's ReLU mask (its output > 0) is multiplied into
+    # the incoming gradient in place.
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        x, pre = record[i]
-        d_pre = d_out * (pre > 0)
-        np.matmul(x.T, d_pre, out=grad_layers[i][0])
-        np.add.reduce(d_pre, axis=0, out=grad_layers[i][1])
+        d_out *= record[i + 1] > 0
+        np.matmul(record[i].T, d_out, out=grad_layers[i][0])
+        np.add.reduce(d_out, axis=0, out=grad_layers[i][1])
         if i > 0 or input_grad:
-            d_out = d_pre @ w.T
+            d_out = d_out @ w.T
     return d_out if input_grad else None
 
 
@@ -364,7 +380,9 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
     m_pos = tape.gem_mean > 0
     safe_mean = np.where(m_pos, tape.gem_mean, 1.0)
     outer = np.where(m_pos, safe_mean ** (1.0 / p - 1.0), 0.0)
-    d_gem_in = (d_pooled * outer / h)[:, None, :] * tape.gem_in ** (p - 1.0)
+    # 0 ** 0 is 1, which _pow does not give
+    d_gem_in = _pow(tape.gem_in, p - 1.0) if p > 1.0 else np.ones_like(tape.gem_in)
+    d_gem_in *= (d_pooled * outer / h)[:, None, :]
     if params.shape.gem_p_learnable:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_m = np.where(m_pos, np.log(np.where(m_pos, tape.gem_mean, 1.0)), 0.0)
@@ -396,6 +414,16 @@ class SgdHyper:
     weight_decay: float = 5e-4
     warmup_epochs: int = 2
     total_epochs: int = 20
+
+    def __post_init__(self):
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not self.warmup_epochs >= 0:
+            raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
 
 
 def lr_factor(epoch: int, hyper: SgdHyper) -> float:

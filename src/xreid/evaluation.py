@@ -79,8 +79,9 @@ def cmc_map(similarities: np.ndarray, query_ids, gallery_ids) -> tuple[np.ndarra
     if not n_hits.all():
         raise ValueError(f"query identity {query_ids[np.argmin(n_hits)]} absent from gallery")
     # gallery items ranked ahead of each relevant item (q, g): a higher
-    # score, or an equal one at a lower gallery index
-    rows = similarities[q]
+    # score, or an equal one at a lower gallery index. With one relevant
+    # item per query, q is arange(n_q) and the rows are the matrix itself.
+    rows = similarities if len(q) == n_q else similarities[q]
     score = similarities[q, g][:, None]
     ahead = (rows > score) | ((rows == score) & (np.arange(n_g) < g[:, None]))
     # hits[q, r]: a relevant item at 0-based rank r; flat order is rank order

@@ -13,7 +13,9 @@ the three primitives the MMD engine calls in turn:
   heuristic (median of the block's distinct pairwise squared distances);
 * ``mixture_kernel_matrix``: the kernel mixture over those distances, and
   optionally the weight matrix A of the analytic feature gradient from the
-  same evaluation.
+  same evaluation. It runs one scale at a time, adding each scale's kernel
+  (and gradient weight) into K (and A) in scale order, so only one scale's
+  values exist at once.
 
 The median heuristic is treated as a constant by every gradient computation
 in this library: no gradient flows through bandwidth selection.
@@ -71,8 +73,9 @@ def squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """
     xx = np.einsum("...d,...d->...", xs, xs)[..., :, None]
     yy = np.einsum("...d,...d->...", ys, ys)[..., None, :]
-    d2 = xx + yy - 2.0 * xs @ np.swapaxes(ys, -1, -2)
-    return np.maximum(d2, 0.0)
+    d2 = xx + yy
+    d2 -= 2.0 * xs @ np.swapaxes(ys, -1, -2)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @lru_cache(maxsize=8)
@@ -108,14 +111,25 @@ def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False
     analytic gradient d k(x, y) / dx = A (y - x).
     """
     s2 = np.asarray(bandwidths, dtype=np.float64)[..., None, None]
+    scales = s2.shape[-3]
     # -d2 / (2 s2) == (-0.5 d2) / s2 exactly, since halving is exact
-    per_scale = np.expand_dims(d2 * -0.5, -3) / s2
-    np.exp(per_scale, out=per_scale)
-    k = np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
+    half = d2 * -0.5
+    # one scale at a time, added in scale order (0.0 + K_0 is K_0 exactly)
+    k = a = 0.0
+    scaled = None
+    for i in range(scales):
+        s2_s = s2[..., i, :, :]
+        scaled = np.divide(half, s2_s, out=scaled)
+        np.exp(scaled, out=scaled)
+        k += scaled
+        if grad_weights:
+            scaled /= s2_s
+            a += scaled
+    k /= scales
     if not grad_weights:
         return k
-    per_scale /= s2
-    return k, np.add.reduce(per_scale, axis=-3) / s2.shape[-3]
+    a /= scales
+    return k, a
 
 
 __all__ = [

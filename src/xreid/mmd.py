@@ -121,10 +121,11 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     counters.kernel_pairs.add(((n + m) * (n + m + self_pairs)).sum() // 2)
 
     # the visible slots' rows hold the xx and xy sub-blocks, so the kernel
-    # is never evaluated on the redundant yx sub-block
-    k_top, a_top = mixture_kernel_matrix(d2[:, :s], bw, grad_weights=True)
-    kyy, ayy = mixture_kernel_matrix(d2[:, s:, s:], bw, grad_weights=True)
-    kxx, kxy, axx, axy = k_top[..., :s], k_top[..., s:], a_top[..., :s], a_top[..., s:]
+    # is never evaluated on the redundant yx sub-block. The gradient weights
+    # A are named w* because they are scaled into W∘A in place below.
+    k_top, w_top = mixture_kernel_matrix(d2[:, :s], bw, grad_weights=True)
+    kyy, wyy = mixture_kernel_matrix(d2[:, s:, s:], bw, grad_weights=True)
+    kxx, kxy, wxx, wxy = k_top[..., :s], k_top[..., s:], w_top[..., :s], w_top[..., s:]
     same_x = np.add.reduce(kxx, axis=(1, 2)) / pairs_x
     same_y = np.add.reduce(kyy, axis=(1, 2)) / pairs_y
     cross = np.add.reduce(kxy, axis=(1, 2)) / (n * m)
@@ -136,9 +137,9 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     # average and the gate; same-set and cross-set terms stay separate so
     # that they cancel exactly when the modalities coincide
     weight = 2.0 * active / n_groups
-    wxx = axx * (weight / pairs_x)[:, None, None]
-    wyy = ayy * (weight / pairs_y)[:, None, None]
-    wxy = axy * (weight / (n * m))[:, None, None]
+    wxx *= (weight / pairs_x)[:, None, None]
+    wyy *= (weight / pairs_y)[:, None, None]
+    wxy *= (weight / (n * m))[:, None, None]
     wyx = np.swapaxes(wxy, 1, 2)
     xs, ys = xb[:, :s], xb[:, s:]
     gx = (wxx @ xs - wxy @ ys) - xs * (wxx.sum(axis=2) - wxy.sum(axis=2))[..., None]

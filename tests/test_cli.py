@@ -114,6 +114,15 @@ class TestGenerate:
             assert err.startswith(f"error: {out / 'train.csv'}: line 2: {message}")
         assert err.count("\n") == 1
 
+    def test_negative_learning_rate_is_one_error_line(self, tmp_path, capsys):
+        # a negative rate would run gradient ascent; train refuses it before
+        # any step and writes no checkpoint
+        cmd_generate(tiny_config(tmp_path))
+        code = main(["train", "--set", f"output.dir={tmp_path}", "--set", "optim.base_lr=-0.0005"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: base_lr must be finite and > 0, got -0.0005\n"
+        assert not (tmp_path / "train" / "checkpoint.bin").exists()
+
 
 @pytest.mark.slow
 class TestTrainEval:

@@ -101,6 +101,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SyntheticSpec(modality_shift=-1.0)
 
+    @pytest.mark.parametrize("field", [
+        "num_identities", "samples_per_identity_per_modality", "descriptor_count",
+        "descriptor_dim", "identity_spread", "within_noise", "thermal_noise_scale",
+        "modality_shift",
+    ])
+    def test_spec_rejects_nan(self, field):
+        # a direct caller's NaN fails the check as a bad config value does
+        with pytest.raises(ValueError, match=">"):
+            SyntheticSpec(**{field: float("nan")})
+
 
 class TestSampleBatch:
     @pytest.fixture()

@@ -107,6 +107,19 @@ class TestZeroSafePower:
             got, want = _pow(x, p), x**p
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    @given(gem_inputs(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_exponents_below_one_bitwise(self, x, p):
+        # GeM's backward raises to p - 1, which is in (0, 1) for 1 < p < 2
+        got, want = _pow(x, p), x**p
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("p", [2.0, 0.5, 1.0])
+    def test_numpy_fast_path_exponents_bitwise(self, p):
+        x = np.array([0.0, 1e-300, 0.3, 2.0, 0.0, 7.5, 1e150])
+        with np.errstate(over="ignore"):
+            got, want = _pow(x, p), x**p
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_leaves_its_input_alone(self):
         x = np.array([0.0, 2.0, 0.0, 3.0])
         _pow(x, 3.0)
@@ -174,6 +187,24 @@ class TestForward:
         perm[[0, 2]] = [2, 0]
         swapped = forward(params, descriptors[perm], modalities[perm], train=False)
         assert np.allclose(swapped.pooled, out.pooled[perm], atol=1e-14)
+
+    @pytest.mark.parametrize("specific, shared", [((4, 5), (5, 4)), ((4,), ()), ((), (3,))])
+    def test_tape_records_inputs_and_outputs(self, specific, shared):
+        # depth + 1 arrays per stack: each layer's input, then the stack's
+        # post-ReLU output; no pre-activation is kept
+        rng = np.random.default_rng(13)
+        params = small_params(rng, specific=specific, shared=shared)
+        descriptors, modalities, _ = small_batch(rng)
+        out = forward(params, descriptors, modalities, train=True)
+        flat = descriptors.reshape(-1, descriptors.shape[-1])
+        for layers, record in ((params.specific_visible, out.specific_visible),
+                               (params.specific_thermal, out.specific_thermal),
+                               (params.shared, out.shared)):
+            assert len(record) == len(layers) + 1
+            for (w, b), x, y in zip(layers, record, record[1:]):
+                assert np.array_equal(y, np.maximum(x @ w + b, 0.0))
+        assert np.array_equal(out.specific_visible[0], flat[out.vis_rows])
+        assert np.shares_memory(out.shared[-1], out.gem_in)
 
     def test_running_stats_updated_only_in_train(self):
         rng = np.random.default_rng(6)
@@ -252,6 +283,24 @@ class TestBackward:
             params.gem_p,
         )
         assert rel_error(grads["gem_p"], fd) < 1e-4
+
+    @pytest.mark.parametrize("gem_p, learnable", [(3.0, False), (1.5, True), (1.0, True)])
+    def test_leaves_its_tape_unchanged(self, gem_p, learnable):
+        # the ReLU masks are multiplied into gradients in place, never into
+        # the tape: a second backward on the same tape gives equal buffers
+        rng = np.random.default_rng(12)
+        params = small_params(rng, gem_p=gem_p, gem_p_learnable=learnable)
+        descriptors, modalities, identities = small_batch(rng)
+        bundle, out = self.total_loss(params, descriptors, modalities, identities)
+        arrays = [out.vis_rows, out.th_rows, *out.specific_visible, *out.specific_thermal,
+                  *out.shared, out.gem_in, out.gem_mean, out.pooled, out.bn_ivar,
+                  out.bn_xhat, out.bn_features, out.logits]
+        before = [a.copy() for a in arrays]
+        first = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        second = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        assert first.buffer.tobytes() == second.buffer.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(11)
@@ -343,6 +392,29 @@ class TestSgd:
         a, b = train_once(), train_once()
         for (name, arr_a), (_, arr_b) in zip(a.items(), b.items()):
             assert np.array_equal(arr_a, arr_b), name
+
+
+class TestSgdHyper:
+    @pytest.mark.parametrize("field, value, message", [
+        ("base_lr", -0.0005, "base_lr must be finite and > 0"),
+        ("base_lr", 0.0, "base_lr must be finite and > 0"),
+        ("base_lr", float("nan"), "base_lr must be finite and > 0"),
+        ("base_lr", float("inf"), "base_lr must be finite and > 0"),
+        ("momentum", -0.1, r"momentum must be in \[0, 1\)"),
+        ("momentum", 1.0, r"momentum must be in \[0, 1\)"),
+        ("momentum", float("nan"), r"momentum must be in \[0, 1\)"),
+        ("weight_decay", -1e-4, "weight_decay must be finite and >= 0"),
+        ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
+        ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
+        ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
+    ])
+    def test_bad_value_rejected(self, field, value, message):
+        kwargs = {"base_lr": 0.1, field: value}
+        with pytest.raises(ValueError, match=message):
+            SgdHyper(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        SgdHyper(base_lr=1e-12, momentum=0.0, weight_decay=0.0, warmup_epochs=0)
 
 
 class TestCheckpoint:

@@ -80,6 +80,23 @@ class TestCmcMap:
         assert ap[0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
         assert cmc.tolist() == [1.0, 1.0, 1.0]
 
+    def test_single_shot_ranks_without_copying_the_scores(self):
+        # one relevant item per query: the score matrix is ranked in place,
+        # so cmc_map's peak stays below one more copy of it
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        sims = rng.standard_normal((300, 300))
+        ids = np.arange(300)
+        gallery_ids = rng.permutation(300)
+        tracemalloc.start()
+        cmc, ap = cmc_map(sims, ids, gallery_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < sims.nbytes
+        want_cmc, want_ap = cmc_map_oracle(sims, ids, gallery_ids)
+        assert np.array_equal(cmc, want_cmc) and np.array_equal(ap, want_ap)
+
     def test_missing_identity_raises(self):
         with pytest.raises(ValueError, match="absent"):
             cmc_map(np.ones((1, 2)), np.array([5]), np.array([0, 1]))

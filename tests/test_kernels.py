@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle_utils import kernel_oracle, median_bandwidth_oracle
 from xreid.kernels import (
@@ -169,6 +171,44 @@ def test_mixture_kernel_matrix_grad_weights_per_block():
             ks = [np.exp(-d2[c, 0, j] / (2.0 * s2)) for s2 in bandwidths[c]]
             assert k[c, 0, j] == pytest.approx(np.mean(ks), abs=1e-15)
             assert a[c, 0, j] == pytest.approx(np.mean([v / s2 for v, s2 in zip(ks, bandwidths[c])]), abs=1e-15)
+
+
+def stacked_mixture(d2, bandwidths, grad_weights=False):
+    """Reference mixture: all scales as one (S, C, N, M) stack, summed by
+    ``np.add.reduce`` over the scale axis."""
+    s2 = np.moveaxis(np.asarray(bandwidths, dtype=np.float64), -1, 0)[..., None, None]
+    per_scale = np.exp((d2 * -0.5) / s2)
+    k = np.add.reduce(per_scale, axis=0) / len(s2)
+    if not grad_weights:
+        return k
+    return k, np.add.reduce(per_scale / s2, axis=0) / len(s2)
+
+
+@st.composite
+def distance_stacks(draw):
+    """A (C, N, M) squared-distance stack, some entries at inf (padding),
+    and a (C, S) bandwidth table of 1-6 scales."""
+    c, n, m, scales = (draw(st.integers(1, hi)) for hi in (3, 5, 5, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d2 = rng.exponential(draw(st.sampled_from([1e-3, 1.0, 1e3])), (c, n, m))
+    d2[rng.random(d2.shape) < draw(st.floats(0.0, 0.5))] = np.inf
+    return d2, rng.uniform(0.01, 10.0, (c, scales))
+
+
+def bits(a):
+    return a.view(np.int64).tolist()
+
+
+@given(distance_stacks())
+def test_mixture_kernel_matrix_equals_stacked_reduce_bitwise(case):
+    d2, bandwidths = case
+    k = mixture_kernel_matrix(d2, bandwidths)
+    assert bits(k) == bits(stacked_mixture(d2, bandwidths))
+    k, a = mixture_kernel_matrix(d2, bandwidths, grad_weights=True)
+    want_k, want_a = stacked_mixture(d2, bandwidths, grad_weights=True)
+    assert bits(k) == bits(want_k) and bits(a) == bits(want_a)
+    # one (N, M) block with an (S,) bandwidth row takes the same route
+    assert bits(mixture_kernel_matrix(d2[0], bandwidths[0])) == bits(want_k[0])
 
 
 class TestBlockStacks:
