@@ -13,7 +13,11 @@ Two array-of-struct containers are used throughout the library:
   descriptors each), consumed by the encoder.
 
 Each owns its rows' (identity, modality) :class:`CellIndex` as ``cells``,
-built on first use, which the sampler and the per-class losses share.
+built on first use, which the sampler, the per-class losses and the
+evaluator's gallery draws share. Both raise a ``ValueError`` naming the fault
+for labels that are not 1-D or not one per row, a modality other than
+VISIBLE or THERMAL, and a NaN or inf value, so ``cells`` means what the
+labels say.
 """
 
 from __future__ import annotations
@@ -34,6 +38,29 @@ _DUMP_VERSION = 1
 _TRAIN_FRACTION = 0.8
 
 
+def _check_rows(labelled, name: str, axes: tuple[str, ...]) -> None:
+    """Store a labelled set's ``name`` values as float64 and its labels as
+    int64, or raise a ``ValueError`` naming the fault."""
+    values = np.asarray(getattr(labelled, name), dtype=np.float64)
+    ids = np.asarray(labelled.identities, dtype=np.int64)
+    mods = np.asarray(labelled.modalities, dtype=np.int64)
+    if values.ndim != len(axes):
+        raise ValueError(f"{name} must be {len(axes)}-D ({', '.join(axes)}), got shape {values.shape}")
+    if ids.ndim != 1 or mods.ndim != 1:
+        raise ValueError(f"identities and modalities must be 1-D, got shapes {ids.shape} and {mods.shape}")
+    if not len(values) == len(ids) == len(mods):
+        raise ValueError(
+            f"parallel arrays disagree: {len(values)} {name}, {len(ids)} identities, {len(mods)} modalities"
+        )
+    unknown = np.flatnonzero((mods != VISIBLE) & (mods != THERMAL))
+    if len(unknown):
+        raise ValueError(f"row {unknown[0]}: modality {mods[unknown[0]]} is not VISIBLE (0) or THERMAL (1)")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} hold non-finite values (NaN or inf)")
+    for field, array in ((name, values), ("identities", ids), ("modalities", mods)):
+        object.__setattr__(labelled, field, array)
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """A batch of feature vectors with parallel identity and modality labels."""
@@ -43,19 +70,7 @@ class FeatureSet:
     modalities: np.ndarray  # (N,) int, VISIBLE or THERMAL
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        ids = np.asarray(self.identities, dtype=np.int64)
-        mods = np.asarray(self.modalities, dtype=np.int64)
-        if f.ndim != 2:
-            raise ValueError(f"features must be 2-D (N, D), got shape {f.shape}")
-        if not (len(f) == len(ids) == len(mods)):
-            raise ValueError(
-                f"parallel arrays disagree: {len(f)} features, "
-                f"{len(ids)} identities, {len(mods)} modalities"
-            )
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "identities", ids)
-        object.__setattr__(self, "modalities", mods)
+        _check_rows(self, "features", ("N", "D"))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -83,16 +98,7 @@ class DescriptorSet:
     modalities: np.ndarray   # (N,) int
 
     def __post_init__(self):
-        d = np.asarray(self.descriptors, dtype=np.float64)
-        ids = np.asarray(self.identities, dtype=np.int64)
-        mods = np.asarray(self.modalities, dtype=np.int64)
-        if d.ndim != 3:
-            raise ValueError(f"descriptors must be 3-D (N, H, D_in), got shape {d.shape}")
-        if not (len(d) == len(ids) == len(mods)):
-            raise ValueError("descriptor/identity/modality arrays disagree in length")
-        object.__setattr__(self, "descriptors", d)
-        object.__setattr__(self, "identities", ids)
-        object.__setattr__(self, "modalities", mods)
+        _check_rows(self, "descriptors", ("N", "H", "D_in"))
 
     def __len__(self) -> int:
         return len(self.descriptors)
@@ -260,13 +266,6 @@ def cell_index(identities, modalities, ids=None) -> CellIndex:
     return CellIndex(ids, cell, counts, np.argsort(cell, kind="stable"), starts)
 
 
-def _choose(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    # uniform without replacement when the cell is big enough, else with
-    if len(pool) >= k:
-        return rng.choice(pool, size=k, replace=False)
-    return rng.choice(pool, size=k, replace=True)
-
-
 def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generator) -> DescriptorSet:
     """Draw one identity-balanced cross-modal batch.
 
@@ -283,7 +282,8 @@ def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generat
     gap = index.first_empty(cells)
     if gap is not None:
         raise ValueError(f"identity {gap[0]} has no samples of modality {gap[1]}")
-    picks = [_choose(rng, index.rows(c), spec.k) for c in cells]
+    # uniform without replacement when the cell is big enough, else with
+    picks = [rng.choice(index.rows(c), size=spec.k, replace=index.counts[c] < spec.k) for c in cells]
     return dataset.select(np.concatenate(picks))
 
 

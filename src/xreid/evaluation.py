@@ -114,23 +114,23 @@ def evaluate(
         raise ValueError("query and gallery must each contain a single modality")
     if q_mods[0] == g_mods[0]:
         raise ValueError(f"query and gallery share modality {int(q_mods[0])}; they must differ")
-    gallery_identities = np.unique(gallery.identities)
-    missing = np.setdiff1d(np.unique(query.identities), gallery_identities)
+    index = gallery.cells
+    missing = np.setdiff1d(query.identities, index.ids)
     if len(missing) > 0:
         raise ValueError(f"query identity {missing[0]} absent from gallery")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    id_pools = [np.where(gallery.identities == g)[0] for g in gallery_identities]
-    n_gal_ids = len(gallery_identities)
+    cells = 2 * np.arange(len(index.ids)) + g_mods[0]  # each identity's gallery pool
+    first, counts = index.starts[cells], index.counts[cells]
 
-    per_trial_cmc = np.empty((trials, n_gal_ids))
+    per_trial_cmc = np.empty((trials, len(index.ids)))
     per_trial_map = np.empty(trials)
     for t in range(trials):
-        chosen = np.array([pool[rng.integers(len(pool))] for pool in id_pools])
+        chosen = index.order[first + rng.integers(counts)]
         sims = similarity_matrix(query.features, gallery.features[chosen], ranking)
-        cmc, ap = cmc_map(sims, query.identities, gallery.identities[chosen])
+        cmc, ap = cmc_map(sims, query.identities, index.ids)
         per_trial_cmc[t] = cmc
         per_trial_map[t] = ap.mean()
 

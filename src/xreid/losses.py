@@ -22,9 +22,10 @@ import numpy as np
 from . import counters
 from .data import FeatureSet
 from .kernels import KernelSpec
+# loss_mmd_id is loss_margin_mmd_id at rho = 0; bench/ times it as losses.loss_mmd_id
 from .mmd import LossValue, MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
-MMD_VARIANTS = ("margin_id", "id", "marginal", "none")
+MMD_VARIANTS = ("margin_id", "marginal")
 
 # a term whose weight is zero: no value, no gradient, no diagnostics
 _SKIPPED = LossValue(0.0, None)
@@ -170,11 +171,11 @@ def loss_total(
 ) -> LossBundle:
     """Weighted total objective with gradients accumulated per term.
 
-    ``mmd_variant`` selects which distribution-alignment loss the
-    ``lambda_margin_mmd`` weight applies to (the margin-gated one by default;
-    ``"id"`` and ``"marginal"`` exist for ablations, ``"none"`` for pure
-    baselines). Terms with zero weight are skipped outright. The per-class
-    MMD and hc-tri share the batch's ``cells``.
+    ``mmd_variant`` selects the alignment loss that ``lambda_margin_mmd``
+    weighs: the margin-gated class-conditional one (``"margin_id"``, the
+    default; ungated at ``margin.rho = 0``) or the marginal one. Terms with
+    zero weight are skipped outright. The per-class MMD and hc-tri share the
+    batch's ``cells``.
     """
     if mmd_variant not in MMD_VARIANTS:
         raise ValueError(f"mmd_variant must be one of {MMD_VARIANTS}, got {mmd_variant!r}")
@@ -190,11 +191,9 @@ def loss_total(
         id_loss = loss_id(logits, labels)
         grad_logits += weights.lambda_id * id_loss.grad
 
-    if weights.lambda_margin_mmd != 0.0 and mmd_variant != "none":
+    if weights.lambda_margin_mmd != 0.0:
         if mmd_variant == "margin_id":
             mmd_loss = loss_margin_mmd_id(batch, kernel_spec, margin, estimator)
-        elif mmd_variant == "id":
-            mmd_loss = loss_mmd_id(batch, kernel_spec, estimator)
         else:
             mmd_loss = loss_mmd_marginal(batch, kernel_spec, estimator)
         grad_pooled += weights.lambda_margin_mmd * mmd_loss.grad

@@ -69,7 +69,7 @@ def run_training(
     train_set: DescriptorSet,
 ) -> tuple[EncoderParams, list[EpochStats]]:
     """Train an encoder on the given set under the config; returns params + log."""
-    classes = np.unique(train_set.identities)
+    classes = train_set.cells.ids
     shape = config.encoder_shape(num_classes=len(classes))
     params = init_params(shape, seeds.stream(config.seed, "init"))
     sampler = BatchSampler(train_set, config.batch_spec(), seeds.stream(config.seed, "sampler"))
@@ -98,6 +98,10 @@ def run_training(
         for _ in range(batches):
             batch = sampler.next_batch()
             out = forward(params, batch.descriptors, batch.modalities, train=True)
+            if not np.isfinite(out.pooled).all():
+                raise TrainingDiverged(
+                    f"non-finite pooled features at epoch {epoch}", last_good, epoch
+                )
             feats = FeatureSet(out.pooled, batch.identities, batch.modalities)
             bundle = loss_total(
                 feats,

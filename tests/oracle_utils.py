@@ -111,6 +111,14 @@ def cmc_map_oracle(similarities, query_ids, gallery_ids):
     return cmc / n_q, np.array(aps)
 
 
+def gallery_draws_reference(gallery_identities, trials, rng):
+    """Single-shot gallery rows of each trial: one pool of row indices per
+    gallery identity (ascending), one scalar uniform draw per pool."""
+    gallery_identities = np.asarray(gallery_identities)
+    pools = [np.where(gallery_identities == g)[0] for g in np.unique(gallery_identities)]
+    return [np.array([pool[rng.integers(len(pool))] for pool in pools]) for _ in range(trials)]
+
+
 def softmax_ce_oracle(logits, labels):
     """Log-sum-exp cross entropy, scalar arithmetic."""
     total = 0.0

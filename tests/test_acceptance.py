@@ -285,8 +285,8 @@ def test_criterion_5_retrieval_oracle():
 
 
 ABLATIONS = {
-    "ce": {"loss.lambda_margin_mmd": 0.0, "loss.lambda_hctri": 0.0, "mmd.variant": "none"},
-    "ce_hctri": {"loss.lambda_margin_mmd": 0.0, "mmd.variant": "none"},
+    "ce": {"loss.lambda_margin_mmd": 0.0, "loss.lambda_hctri": 0.0},
+    "ce_hctri": {"loss.lambda_margin_mmd": 0.0},
     "full": {},
     "ce_margin": {"loss.lambda_hctri": 0.0},
     "ce_marginal": {"loss.lambda_hctri": 0.0, "mmd.variant": "marginal"},

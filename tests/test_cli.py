@@ -295,6 +295,17 @@ class TestMainEntry:
         assert code != 0
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["none", "id"])
+    def test_removed_mmd_variant_is_one_error_line(self, tmp_path, capsys, variant):
+        # loss.lambda_margin_mmd=0 and mmd.margin_rho=0 give these runs
+        code = main(["train", "--set", f"output.dir={tmp_path}", "--set", f"mmd.variant={variant}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --set: bad value for 'mmd.variant': "
+            f"expected one of ('margin_id', 'marginal'), got {variant!r}\n"
+        )
+        assert not (tmp_path / "train").exists()
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     @pytest.mark.parametrize("key", ["mmd.margin_rho", "encoder.gem_p", "optim.base_lr", "kernel.mixture_scales"])
     def test_non_finite_float_is_one_error_line(self, tmp_path, capsys, key, value):

@@ -1,6 +1,36 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xreid.config import ConfigError, ExperimentConfig, SCHEMA
+from xreid.losses import MMD_VARIANTS
+
+CHOICES = {
+    "mmd.estimator": ("biased", "unbiased"),
+    "mmd.variant": MMD_VARIANTS,
+    "eval.query_modality": ("thermal", "visible"),
+    "eval.ranking": ("cosine", "euclidean"),
+    "eval.features": ("pooled", "bn"),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def value_of(key, default):
+    """Any value a config text line can hold for ``key``."""
+    if key in CHOICES:
+        return st.sampled_from(CHOICES[key])
+    if key == "output.dir":  # one line, no comment; the parser strips it
+        return st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#")).map(str.strip)
+    if key == "kernel.sigma_squared":
+        return st.none() | FINITE
+    if isinstance(default, tuple):
+        return st.lists(FINITE if isinstance(default[0], float) else st.integers(), max_size=4).map(tuple)
+    if isinstance(default, bool):
+        return st.booleans()
+    return st.integers() if isinstance(default, int) else FINITE
+
+
+CONFIGS = st.fixed_dictionaries({key: value_of(key, default) for key, (_, default) in SCHEMA.items()})
 
 
 class TestParsing:
@@ -16,6 +46,14 @@ class TestParsing:
         again = ExperimentConfig.from_text(text)
         assert again.values == cfg.values
         assert again.to_text() == text
+
+    @given(CONFIGS)
+    def test_round_trip_property(self, values):
+        cfg = ExperimentConfig(values)
+        text = cfg.to_text()
+        again = ExperimentConfig.from_text(text)
+        assert again.values == cfg.values
+        assert again.to_text() == text  # -0.0 keeps its sign
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown config key"):

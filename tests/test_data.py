@@ -1,8 +1,12 @@
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xreid.data import (
     BatchSampler,
@@ -25,6 +29,33 @@ class TestFeatureSet:
     def test_parallel_array_validation(self):
         with pytest.raises(ValueError, match="parallel"):
             FeatureSet(np.zeros((3, 2)), np.zeros(2, dtype=int), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("make", [
+        lambda ids, mods: FeatureSet(np.zeros((4, 2)), ids, mods),
+        lambda ids, mods: DescriptorSet(np.zeros((4, 1, 2)), ids, mods),
+    ], ids=["features", "descriptors"])
+    def test_labels_checked(self, make):
+        ids, mods = np.array([0, 0, 1, 1]), np.array([VISIBLE, THERMAL, VISIBLE, THERMAL])
+        with pytest.raises(ValueError, match=r"identities and modalities must be 1-D, got shapes \(2, 2\)"):
+            make(ids.reshape(2, 2), mods)
+        with pytest.raises(ValueError, match=r"must be 1-D, got shapes \(4,\) and \(4, 1\)"):
+            make(ids, mods.reshape(4, 1))
+        # a modality of 2 would count as visible in ``cells`` but not as visible anywhere else
+        with pytest.raises(ValueError, match=r"^row 2: modality 2 is not VISIBLE \(0\) or THERMAL \(1\)$"):
+            make(ids, np.array([VISIBLE, THERMAL, 2, THERMAL]))
+        with pytest.raises(ValueError, match="modality -1"):
+            make(ids, np.array([VISIBLE, -1, VISIBLE, THERMAL]))
+        assert make(ids, mods).cells.counts.tolist() == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        ids, mods = np.array([0, 1]), np.array([VISIBLE, THERMAL])
+        features = np.zeros((2, 3))
+        features[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^features hold non-finite values \(NaN or inf\)$"):
+            FeatureSet(features, ids, mods)
+        with pytest.raises(ValueError, match=r"^descriptors hold non-finite values"):
+            DescriptorSet(features.reshape(2, 3, 1), ids, mods)
 
     def test_modality_slice(self):
         fs = FeatureSet(
@@ -268,6 +299,24 @@ class TestDumpLoad:
         assert loaded.descriptors.tobytes() == descriptors.tobytes()  # -0.0 keeps its sign
         assert loaded.identities.tolist() == [3, 3]
         assert loaded.modalities.tolist() == [VISIBLE, THERMAL]
+
+    @given(st.integers(0, 5), st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_round_trip_bit_exact_property(self, n, h, d, data):
+        # -0.0, subnormals and the extremes besides whatever floats hypothesis draws
+        edge = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+        value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        values = data.draw(st.lists(value, min_size=n * h * d, max_size=n * h * d))
+        identities = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+        modalities = data.draw(st.lists(st.sampled_from([VISIBLE, THERMAL]), min_size=n, max_size=n))
+        dataset = DescriptorSet(np.array(values, dtype=float).reshape(n, h, d), identities, modalities)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.csv"
+            dump(dataset, path)
+            loaded = load(path)
+        assert loaded.descriptors.shape == (n, h, d)
+        assert loaded.descriptors.tobytes() == dataset.descriptors.tobytes()
+        assert loaded.identities.tolist() == identities
+        assert loaded.modalities.tolist() == modalities
 
     @pytest.mark.parametrize("header", ["#H=2,D_in=2", "#version=1,D_in=2", "#version=1,H=2",
                                         "#version=1,H=two,D_in=2"])

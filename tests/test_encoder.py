@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -429,6 +432,29 @@ class TestCheckpoint:
         assert path1.read_bytes() == path2.read_bytes()
         for (name, arr), (_, arr2) in zip(params.items(), loaded.items()):
             assert np.array_equal(arr, arr2), name
+
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        widths = st.lists(st.integers(1, 4), max_size=3).map(tuple)  # empty stacks too
+        shape = EncoderShape(
+            descriptor_dim=data.draw(st.integers(1, 4)),
+            num_classes=data.draw(st.integers(1, 4)),
+            specific_widths=data.draw(widths),
+            shared_widths=data.draw(widths),
+            gem_p=data.draw(st.floats(1.0, 8.0)),
+            gem_p_learnable=data.draw(st.booleans()),
+        )
+        params = EncoderParams(shape)
+        size = len(params.buffer)
+        # any float64 bits, NaN payloads, infinities and -0.0 included
+        bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+        params.buffer[:] = np.array(bits, dtype=np.uint64).view(np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.bin"
+            save_checkpoint(params, path)
+            loaded = load_checkpoint(path, expected_shape=shape)
+        assert loaded.shape == shape
+        assert loaded.buffer.tobytes() == params.buffer.tobytes()
 
     def test_expected_shape_mismatch(self, tmp_path):
         rng = np.random.default_rng(18)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_utils import cmc_map_oracle
+from oracle_utils import cmc_map_oracle, gallery_draws_reference
 from xreid.data import FeatureSet, THERMAL, VISIBLE
+from xreid import evaluation
 from xreid.evaluation import (
     EvalReport,
     cmc_map,
@@ -176,6 +177,50 @@ class TestEvaluate:
         euc = evaluate(query, gallery, trials=1, seed=0, ranking="euclidean")
         assert cos.rank(1) == 1.0
         assert euc.rank(1) == 0.0
+
+
+@st.composite
+def ragged_retrieval(draw, max_ids=8, max_rows=5):
+    """(query, gallery) of opposite modalities: 1-8 gallery identities with
+    1-``max_rows`` rows each, rows shuffled, and 1-12 queries of those
+    identities."""
+    n_ids = draw(st.integers(1, max_ids))
+    ids = np.array(draw(st.lists(st.integers(0, 99), min_size=n_ids, max_size=n_ids, unique=True)))
+    counts = draw(st.lists(st.integers(1, max_rows), min_size=n_ids, max_size=n_ids))
+    g_ids = np.repeat(ids, counts)[np.array(draw(st.permutations(range(sum(counts)))))]
+    q_ids = np.array(draw(st.lists(st.sampled_from(ids.tolist()), min_size=1, max_size=12)))
+    g_mod = draw(st.sampled_from([VISIBLE, THERMAL]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = feature_set(rng.standard_normal((len(q_ids), 3)), q_ids, 1 - g_mod)
+    return query, feature_set(rng.standard_normal((len(g_ids), 3)), g_ids, g_mod)
+
+
+class TestEvaluateMatchesReference:
+    @given(ragged_retrieval(), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["cosine", "euclidean"]))
+    def test_gallery_draws_and_scores_bitwise(self, retrieval, trials, seed, ranking):
+        query, gallery = retrieval
+        calls = []
+        original = evaluation.similarity_matrix
+
+        def record(q, g, r):
+            calls.append(g)
+            return original(q, g, r)
+
+        evaluation.similarity_matrix = record
+        try:
+            report = evaluate(query, gallery, trials=trials, seed=seed, ranking=ranking)
+        finally:
+            evaluation.similarity_matrix = original
+
+        draws = gallery_draws_reference(gallery.identities, trials, np.random.default_rng(seed))
+        assert len(calls) == trials
+        for t, chosen in enumerate(draws):
+            assert np.array_equal(calls[t], gallery.features[chosen])
+            sims = similarity_matrix(query.features, gallery.features[chosen], ranking)
+            cmc, ap = cmc_map(sims, query.identities, gallery.identities[chosen])
+            assert np.array_equal(report.per_trial_cmc[t], cmc)
+            assert report.per_trial_map[t] == ap.mean()
 
 
 class TestSimilarityStats:

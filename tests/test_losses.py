@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -19,6 +22,19 @@ from xreid.losses import (
 from xreid.mmd import MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
 
 SINGLE = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
+
+# The four ways loss_total's MMD term runs: gated at rho, ungated (the gate
+# at rho = 0), marginal, and off (zero weight).
+MMD_CASES = ("margin_id", "id", "marginal", "none")
+
+
+def mmd_case(case, rho, weights):
+    """loss_total's MMD keywords for one of ``MMD_CASES``."""
+    return dict(
+        mmd_variant="marginal" if case == "marginal" else "margin_id",
+        margin=MarginConfig(0.0 if case == "id" else rho),
+        weights=replace(weights, lambda_margin_mmd=0.0) if case == "none" else weights,
+    )
 
 
 def make_batch(features, identities, modalities):
@@ -324,29 +340,32 @@ class TestLossTotal:
         assert bundle.margin_mmd_term == loss_mmd_marginal(batch, SINGLE).value
         assert bundle.active_classes is None
 
-    @pytest.mark.parametrize("variant", ["margin_id", "id", "marginal", "none"])
-    def test_diagnostics_come_from_the_mmd_term(self, variant):
-        from xreid.mmd import loss_margin_mmd_id, loss_mmd_id
+    @pytest.mark.parametrize("variant", ["id", "none", "margin"])
+    def test_unknown_variant_rejected(self, variant):
+        rng = np.random.default_rng(13)
+        batch, logits, labels = self.setup_batch(rng)
+        with pytest.raises(ValueError, match=re.escape(f"one of {MMD_VARIANTS}, got {variant!r}")):
+            loss_total(batch, logits, labels, **self.kwargs(LossWeights(), variant=variant))
 
+    @pytest.mark.parametrize("case", MMD_CASES)
+    def test_diagnostics_come_from_the_mmd_term(self, case):
         rng = np.random.default_rng(15)
         batch, logits, labels = self.setup_batch(rng)
-        kw = self.kwargs(LossWeights(), variant=variant)
-        kw["margin"] = MarginConfig(1.8)
+        kw = dict(self.kwargs(LossWeights()), **mmd_case(case, 1.8, LossWeights()))
         bundle = loss_total(batch, logits, labels, **kw)
         p = len(np.unique(batch.identities))
-        if variant == "margin_id":
+        if case == "margin_id":
             direct = loss_margin_mmd_id(batch, SINGLE, MarginConfig(1.8))
             assert 0 < direct.active_classes < p  # the gate is shut for some classes only
+        elif case == "id":
+            direct = loss_mmd_id(batch, SINGLE)
+        if case in ("margin_id", "id"):
             assert isinstance(bundle.active_classes, int)
-            assert bundle.active_classes == direct.active_classes
-        else:
-            assert bundle.active_classes is None
-        if variant in ("margin_id", "id"):
-            if variant == "id":
-                direct = loss_mmd_id(batch, SINGLE)
+            assert bundle.active_classes == (direct.active_classes if case == "margin_id" else p)
             assert bundle.class_mmd2.shape == (p,)
             assert np.array_equal(bundle.class_mmd2, direct.class_mmd2)
         else:
+            assert bundle.active_classes is None
             assert bundle.class_mmd2 is None
 
     def test_every_loss_returns_a_loss_value(self):
@@ -374,15 +393,15 @@ class TestLossTotal:
         for name, res in plain.items():
             assert res.class_ids is None and res.class_mmd2 is None and res.active_classes is None, name
 
-    @pytest.mark.parametrize("variant", ["margin_id", "id"])
-    def test_one_cell_index_per_call(self, monkeypatch, variant):
+    @pytest.mark.parametrize("reference", ["margin_id", "id"])
+    def test_one_cell_index_per_call(self, monkeypatch, reference):
+        # the bundle's MMD term runs at rho = 0, so it must equal either loss
         import xreid.data as data_module
-        from xreid.mmd import loss_margin_mmd_id
 
         rng = np.random.default_rng(14)
         batch, logits, labels = self.setup_batch(rng)
         weights = LossWeights()
-        if variant == "margin_id":
+        if reference == "margin_id":
             mmd = loss_margin_mmd_id(batch, SINGLE, MarginConfig(0.0))
         else:
             mmd = loss_mmd_id(batch, SINGLE)
@@ -392,7 +411,7 @@ class TestLossTotal:
         build = data_module.cell_index
         monkeypatch.setattr(data_module, "cell_index", lambda *a: calls.append(1) or build(*a))
         fresh = make_batch(batch.features, batch.identities, batch.modalities)
-        bundle = loss_total(fresh, logits, labels, **self.kwargs(weights, variant=variant))
+        bundle = loss_total(fresh, logits, labels, **self.kwargs(weights))
         assert len(calls) == 1
         expected = np.zeros_like(batch.features)
         expected += weights.lambda_margin_mmd * mmd.grad
@@ -429,7 +448,7 @@ def ragged_batches(draw, min_cell):
 
 class TestLossTotalRowOrder:
     @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
-    @pytest.mark.parametrize("variant", MMD_VARIANTS)
+    @pytest.mark.parametrize("variant", MMD_CASES)
     @given(data=st.data())
     def test_shuffled_rows_give_the_same_loss(self, variant, estimator, data):
         batch, logits, labels, perm = data.draw(ragged_batches(2 if estimator == "unbiased" else 1))
@@ -438,8 +457,8 @@ class TestLossTotalRowOrder:
         rho = data.draw(st.floats(0.0, 1.0))
         mmd2 = loss_mmd_id(batch, spec, estimator).class_mmd2
         assume(np.abs(mmd2 - rho).min() >= 1e-9)
-        kwargs = dict(kernel_spec=spec, margin=MarginConfig(rho), hctri=HcTriConfig(0.3),
-                      weights=LossWeights(), estimator=estimator, mmd_variant=variant)
+        kwargs = dict(kernel_spec=spec, hctri=HcTriConfig(0.3), estimator=estimator,
+                      **mmd_case(variant, rho, LossWeights()))
 
         want = loss_total(batch, logits, labels, **kwargs)
         got = loss_total(batch.select(perm), logits[perm], labels[perm], **kwargs)
@@ -448,6 +467,42 @@ class TestLossTotalRowOrder:
         assert got.active_classes == want.active_classes
         np.testing.assert_allclose(got.grad_pooled, want.grad_pooled[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.grad_logits, want.grad_logits[perm], rtol=0, atol=1e-12)
+
+
+class TestEachLossRowOrder:
+    """Each of the five losses on its own: shuffling the batch rows keeps its
+    value and per-class diagnostics and permutes its gradient rows."""
+
+    @pytest.mark.parametrize("loss, estimator", [
+        ("ce", None),
+        ("hc_tri", None),
+        *((loss, est) for loss in ("marginal", "id", "margin_id") for est in ("biased", "unbiased")),
+    ])
+    @given(data=st.data())
+    def test_shuffled_rows_permute_the_gradient(self, loss, estimator, data):
+        batch, logits, labels, perm = data.draw(ragged_batches(2 if estimator == "unbiased" else 1))
+        spec = KernelSpec(mixture_scales=(0.0625, 0.125, 0.25, 0.5))
+        rho = data.draw(st.floats(0.0, 1.0))
+        if loss == "margin_id":  # the gate must not sit on a class's MMD^2
+            assume(np.abs(loss_mmd_id(batch, spec, estimator).class_mmd2 - rho).min() >= 1e-9)
+        run = {
+            "ce": lambda b, z, y: loss_id(z, y),
+            "hc_tri": lambda b, z, y: loss_hc_tri(b, HcTriConfig(0.3)),
+            "marginal": lambda b, z, y: loss_mmd_marginal(b, spec, estimator),
+            "id": lambda b, z, y: loss_mmd_id(b, spec, estimator),
+            "margin_id": lambda b, z, y: loss_margin_mmd_id(b, spec, MarginConfig(rho), estimator),
+        }[loss]
+
+        want = run(batch, logits, labels)
+        got = run(batch.select(perm), logits[perm], labels[perm])
+        assert got.value == pytest.approx(want.value, rel=0, abs=1e-12)
+        np.testing.assert_allclose(got.grad, want.grad[perm], rtol=0, atol=1e-12)
+        assert got.active_classes == want.active_classes
+        for field in ("class_ids", "class_mmd2"):
+            if getattr(want, field) is None:
+                assert getattr(got, field) is None, field
+            else:
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=0, atol=1e-12)
 
 
 class TestMmdTranslation:

@@ -397,9 +397,11 @@ class TestBlockEngine:
             values = loss_mmd_id(batch, spec, estimator).class_mmd2
             # a margin halfway between two class values: one gate shut, one open
             rho = max(0.0, float(np.mean(np.sort(values)[:2])))
+            # "id" is the ungated loss: the margin-gated one at rho = 0
             kwargs = dict(
-                kernel_spec=spec, margin=MarginConfig(rho), hctri=HcTriConfig(0.3),
-                weights=LossWeights(1.0, 1.0, 0.0), estimator=estimator, mmd_variant=variant,
+                kernel_spec=spec, margin=MarginConfig(0.0 if variant == "id" else rho),
+                hctri=HcTriConfig(0.3), weights=LossWeights(1.0, 1.0, 0.0), estimator=estimator,
+                mmd_variant="marginal" if variant == "marginal" else "margin_id",
             )
             recorded = []
 

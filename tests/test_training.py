@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xreid import seeds
+from xreid import seeds, training
 from xreid.config import ExperimentConfig
 from xreid.data import SyntheticSpec, generate
 from xreid.encoder import EncoderShape, embed, init_params
@@ -77,6 +77,27 @@ def test_divergence_carries_last_good_params():
     assert info.value.last_good is not None
     for _, arr in info.value.last_good.items():
         assert np.all(np.isfinite(arr))
+
+
+def test_non_finite_features_diverge_before_the_loss(monkeypatch):
+    # a NaN in the pooled features is a divergence, not a bad FeatureSet
+    cfg = small_config(**{"train.epochs": 2})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    batches = -(-len(train) // cfg.batch_spec().batch_size)
+    forward, steps = training.forward, []
+
+    def forward_nan_in_epoch_1(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        steps.append(1)
+        if len(steps) > batches:
+            out.pooled[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(training, "forward", forward_nan_in_epoch_1)
+    with pytest.raises(TrainingDiverged, match="^non-finite pooled features at epoch 1$") as info:
+        run_training(cfg, train)
+    assert info.value.epoch == 1
+    assert np.all(np.isfinite(info.value.last_good.buffer))
 
 
 def _traced_peak(fn):
