@@ -166,9 +166,11 @@ def generate(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> tup
     """Generate (train, test) descriptor sets with disjoint identities.
 
     Per identity: a Gaussian cluster center; visible samples are noisy copies
-    of the center, thermal samples additionally carry the modality shift.
-    Identities are split 80/20 train/test. Fully determined by `spec.seed`
-    unless an explicit generator is passed.
+    of the center, thermal samples additionally carry the modality shift and
+    ``thermal_noise_scale`` times the noise. The noise is one standard-normal
+    draw in (identity, modality, sample) order, visible before thermal, and
+    the rows come in that order. Identities are split 80/20 train/test.
+    Fully determined by `spec.seed` unless an explicit generator is passed.
     """
     if spec.num_identities < 4:
         raise ValueError(
@@ -199,28 +201,20 @@ def generate(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> tup
         directions = np.tile(direction / max(np.linalg.norm(direction), 1e-12), (n_id, 1))
     shifts = spec.modality_shift * directions
 
-    descriptors = np.empty((n_id * 2 * k, h, d))
-    identities = np.empty(n_id * 2 * k, dtype=np.int64)
-    modalities = np.empty(n_id * 2 * k, dtype=np.int64)
-    row = 0
-    for i in range(n_id):
-        for modality in (VISIBLE, THERMAL):
-            base = centers[i] if modality == VISIBLE else centers[i] + shifts[i]
-            sigma = spec.within_noise
-            if modality == THERMAL:
-                sigma *= spec.thermal_noise_scale
-            descriptors[row:row + k] = base[None, None, :] + sigma * rng.standard_normal((k, h, d))
-            identities[row:row + k] = i
-            modalities[row:row + k] = modality
-            row += k
+    # one draw in (identity, modality, sample) order, scaled by each
+    # modality's sigma and shifted by its base in place
+    sigma = spec.within_noise * np.array([1.0, spec.thermal_noise_scale])
+    descriptors = rng.standard_normal((n_id, 2, k, h, d))
+    descriptors *= sigma[:, None, None, None]
+    descriptors += np.stack([centers, centers + shifts], axis=1)[:, :, None, None, :]
+    identities = np.repeat(np.arange(n_id), 2 * k)
+    modalities = np.tile(np.repeat([VISIBLE, THERMAL], k), n_id)
 
     order = rng.permutation(n_id)
-    n_train = int(round(_TRAIN_FRACTION * n_id))
-    train_ids = set(order[:n_train].tolist())
-    train_mask = np.isin(identities, list(train_ids))
+    train_mask = np.isin(identities, order[:int(round(_TRAIN_FRACTION * n_id))])
 
-    full = DescriptorSet(descriptors, identities, modalities)
-    return full.select(np.where(train_mask)[0]), full.select(np.where(~train_mask)[0])
+    full = DescriptorSet(descriptors.reshape(-1, h, d), identities, modalities)
+    return full.select(train_mask), full.select(~train_mask)
 
 
 @dataclass(frozen=True)

@@ -384,15 +384,11 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
     d_gem_in = _pow(tape.gem_in, p - 1.0) if p > 1.0 else np.ones_like(tape.gem_in)
     d_gem_in *= (d_pooled * outer / h)[:, None, :]
     if params.shape.gem_p_learnable:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_m = np.where(m_pos, np.log(np.where(m_pos, tape.gem_mean, 1.0)), 0.0)
-            x_logx = np.where(tape.gem_in > 0, _pow(tape.gem_in, p) * np.log(np.where(tape.gem_in > 0, tape.gem_in, 1.0)), 0.0)
+        # log(1) is 0, so the entries at 0 contribute exactly 0
+        log_m = np.log(safe_mean)
+        x_logx = _pow(tape.gem_in, p) * np.log(np.where(tape.gem_in > 0, tape.gem_in, 1.0))
         mean_xlogx = x_logx.mean(axis=1)
-        d_p_per = np.where(
-            m_pos,
-            tape.pooled * (-log_m / p**2 + mean_xlogx / (p * np.where(m_pos, tape.gem_mean, 1.0))),
-            0.0,
-        )
+        d_p_per = tape.pooled * (-log_m / p**2 + mean_xlogx / (p * safe_mean))
         grads.gem_p[...] = (d_pooled * d_p_per).sum()
 
     d_shared_out = d_gem_in.reshape(n * h, -1)

@@ -2,14 +2,16 @@
 
 All randomness is drawn from named streams of the experiment's root seed, so
 two runs from the same resolved config produce bitwise-identical parameters.
-Per-epoch diagnostics (loss terms, margin-gate survivors, mean per-class
-MMD^2, wall-clock seconds) are collected as rows for the training log.
+Each epoch fills one table with a row per step (the four loss terms, the
+margin-gate survivors and the mean per-class MMD^2, NaN where the loss has no
+gate); its column means and the epoch's wall-clock seconds make the
+:class:`EpochStats` row of the training log, whose columns are its fields.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,18 +20,6 @@ from .config import ExperimentConfig
 from .data import BatchSampler, DescriptorSet, FeatureSet
 from .encoder import EncoderParams, SgdState, backward, embed, forward, init_params, sgd_step
 from .losses import loss_total
-
-LOG_COLUMNS = (
-    "epoch",
-    "loss_total",
-    "loss_id",
-    "loss_mmd",
-    "loss_hctri",
-    "active_classes",
-    "mean_class_mmd2",
-    "seconds",
-)
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; carries the last good parameters."""
@@ -57,6 +47,9 @@ class EpochStats:
             f"{self.loss_hctri:.6f},{self.active_classes:.6f},{self.mean_class_mmd2:.6f},"
             f"{self.seconds:.3f}"
         )
+
+
+LOG_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 
 def class_index(train_identities: np.ndarray) -> dict[int, int]:
@@ -90,12 +83,10 @@ def run_training(
     last_good = params.copy()
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        sums = np.zeros(4)
-        active_sum = 0.0
-        active_n = 0
-        mmd2_sum = 0.0
-        mmd2_n = 0
-        for _ in range(batches):
+        # one row per step; a diagnostic the bundle lacks is NaN, and so is
+        # its epoch mean
+        table = np.empty((batches, 6))
+        for step in range(batches):
             batch = sampler.next_batch()
             out = forward(params, batch.descriptors, batch.modalities, train=True)
             if not np.isfinite(out.pooled).all():
@@ -121,26 +112,15 @@ def run_training(
             grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
             sgd_step(params, grads, state, hyper, epoch)
 
-            sums += (bundle.total, bundle.id_term, bundle.margin_mmd_term, bundle.hctri_term)
-            if bundle.active_classes is not None:
-                active_sum += bundle.active_classes
-                active_n += 1
-            if bundle.class_mmd2 is not None:
-                mmd2_sum += float(bundle.class_mmd2.mean())
-                mmd2_n += 1
-        means = sums / batches
-        stats.append(
-            EpochStats(
-                epoch=epoch,
-                loss_total=means[0],
-                loss_id=means[1],
-                loss_mmd=means[2],
-                loss_hctri=means[3],
-                active_classes=active_sum / active_n if active_n else float("nan"),
-                mean_class_mmd2=mmd2_sum / mmd2_n if mmd2_n else float("nan"),
-                seconds=time.perf_counter() - t0,
+            table[step] = (
+                bundle.total,
+                bundle.id_term,
+                bundle.margin_mmd_term,
+                bundle.hctri_term,
+                np.nan if bundle.active_classes is None else bundle.active_classes,
+                np.nan if bundle.class_mmd2 is None else bundle.class_mmd2.mean(),
             )
-        )
+        stats.append(EpochStats(epoch, *table.sum(axis=0) / batches, time.perf_counter() - t0))
         last_good = params.copy()
     return params, stats
 

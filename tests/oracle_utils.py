@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from xreid.data import FeatureSet, THERMAL, VISIBLE
+from xreid.data import DescriptorSet, FeatureSet, THERMAL, VISIBLE
 
 
 def kernel_oracle(x, y, sigma2s):
@@ -156,6 +156,48 @@ def sample_batch_reference(dataset, spec, rng):
             replace = len(pool) < spec.k
             picks.append(rng.choice(pool, size=spec.k, replace=replace))
     return dataset.select(np.concatenate(picks))
+
+
+def generate_reference(spec, rng):
+    """Synthetic (train, test) split with one noise draw per (identity,
+    modality) cell in a loop, visible before thermal, and the train
+    identities as a set."""
+    n_id = spec.num_identities
+    h, d = spec.descriptor_count, spec.descriptor_dim
+    k = spec.samples_per_identity_per_modality
+
+    centers = spec.identity_spread * rng.standard_normal((n_id, d))
+    if spec.per_identity_shift_rotation:
+        rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        norms = np.linalg.norm(centers, axis=1, keepdims=True)
+        directions = (centers / np.maximum(norms, 1e-12)) @ rotation.T
+    else:
+        direction = rng.standard_normal(d)
+        directions = np.tile(direction / max(np.linalg.norm(direction), 1e-12), (n_id, 1))
+    shifts = spec.modality_shift * directions
+
+    descriptors = np.empty((n_id * 2 * k, h, d))
+    identities = np.empty(n_id * 2 * k, dtype=np.int64)
+    modalities = np.empty(n_id * 2 * k, dtype=np.int64)
+    row = 0
+    for i in range(n_id):
+        for modality in (VISIBLE, THERMAL):
+            base = centers[i] if modality == VISIBLE else centers[i] + shifts[i]
+            sigma = spec.within_noise
+            if modality == THERMAL:
+                sigma *= spec.thermal_noise_scale
+            descriptors[row:row + k] = base[None, None, :] + sigma * rng.standard_normal((k, h, d))
+            identities[row:row + k] = i
+            modalities[row:row + k] = modality
+            row += k
+
+    order = rng.permutation(n_id)
+    train_ids = set(order[:int(round(0.8 * n_id))].tolist())
+    train_mask = np.isin(identities, list(train_ids))
+    return tuple(
+        DescriptorSet(descriptors[mask], identities[mask], modalities[mask])
+        for mask in (train_mask, ~train_mask)
+    )
 
 
 def hetero_centers_reference(batch):

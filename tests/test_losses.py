@@ -529,3 +529,30 @@ class TestMmdTranslation:
         if loss != "marginal":
             np.testing.assert_allclose(got.class_mmd2, want.class_mmd2, rtol=0, atol=1e-9)
             assert got.active_classes == want.active_classes
+
+
+class TestMarginGateFiniteDifferences:
+    """The margin-gated loss's gradient agrees with central differences when
+    rho sits just above or below one class's MMD^2, and a gated class's rows
+    take exactly no gradient."""
+
+    @pytest.mark.parametrize("estimator", ["biased", "unbiased"])
+    @given(data=st.data())
+    def test_gradient_near_the_gate(self, estimator, data):
+        batch, _, _, _ = data.draw(ragged_batches(2 if estimator == "unbiased" else 1))
+        # a fixed bandwidth: no gradient flows through the median heuristic
+        spec = KernelSpec(sigma_squared=data.draw(st.floats(0.5, 4.0)), mixture_scales=(0.5, 1.0, 2.0))
+        mmd2 = loss_mmd_id(batch, spec, estimator).class_mmd2
+        near = data.draw(st.integers(0, len(mmd2) - 1))
+        rho = mmd2[near] + data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1e-3, 1e-2))
+        # rho = 0 turns the gate off; no class may sit within 1e-3 of rho,
+        # where the finite differences would step across the gate
+        assume(rho > 0 and np.abs(mmd2 - rho).min() >= 1e-3)
+        margin = MarginConfig(rho)
+
+        res = loss_margin_mmd_id(batch, spec, margin, estimator)
+        fd = fd_gradient(lambda: loss_margin_mmd_id(batch, spec, margin, estimator).value, batch.features)
+        assert rel_error(res.grad, fd) < 1e-4
+        gated = np.isin(batch.identities, batch.cells.ids[mmd2 <= rho])
+        assert res.active_classes == len(mmd2) - np.count_nonzero(mmd2 <= rho)
+        assert np.all(res.grad[gated] == 0.0)

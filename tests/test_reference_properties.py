@@ -1,5 +1,6 @@
-"""The vectorised sampler, hetero-center triplet loss and SGD step against the
-loop references in ``oracle_utils``: same outputs bit for bit, same errors."""
+"""The vectorised generator, sampler, hetero-center triplet loss and SGD step
+against the loop references in ``oracle_utils``: same outputs bit for bit,
+same errors."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    generate_reference,
     hetero_centers_reference,
     loss_hc_tri_reference,
     sample_batch_reference,
     sgd_step_reference,
 )
-from xreid.data import BatchSampler, BatchSpec, DescriptorSet, FeatureSet, sample_batch
+from xreid.data import (
+    BatchSampler, BatchSpec, DescriptorSet, FeatureSet, SyntheticSpec, generate, sample_batch,
+)
 from xreid.encoder import EncoderShape, SgdHyper, SgdState, init_params, lr_factor, sgd_step
 from xreid.losses import HcTriConfig, hetero_centers, loss_hc_tri
 
@@ -45,6 +49,31 @@ def ragged_labels(draw, max_ids=6, max_cell=6, allow_empty=True):
             modalities += [modality] * count
     perm = draw(st.permutations(range(len(identities))))
     return np.array(identities)[perm], np.array(modalities)[perm]
+
+
+class TestGenerateMatchesReference:
+    @given(
+        st.integers(4, 12),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.booleans(),
+        st.sampled_from([0.0, 0.08, 0.5]),
+        st.sampled_from([0.0, 1.0, 2.0, 3.7]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_both_splits_bitwise(self, n_id, k, h, d, rotation, noise, thermal_scale, seed):
+        spec = SyntheticSpec(
+            num_identities=n_id, samples_per_identity_per_modality=k, descriptor_count=h,
+            descriptor_dim=d, within_noise=noise, thermal_noise_scale=thermal_scale,
+            per_identity_shift_rotation=rotation,
+        )
+        new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for got, want in zip(generate(spec, new_rng), generate_reference(spec, ref_rng)):
+            assert np.array_equal(bits(got.descriptors), bits(want.descriptors))
+            assert np.array_equal(got.identities, want.identities)
+            assert np.array_equal(got.modalities, want.modalities)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSamplerMatchesReference:

@@ -100,6 +100,49 @@ def test_non_finite_features_diverge_before_the_loss(monkeypatch):
     assert np.all(np.isfinite(info.value.last_good.buffer))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"mmd.variant": "margin_id"},
+    {"mmd.variant": "marginal"},
+    {"loss.lambda_margin_mmd": 0.0},
+], ids=["margin_id", "marginal", "no_mmd"])
+def test_epoch_stats_are_the_sequential_step_means(monkeypatch, overrides):
+    # each EpochStats float equals, bit for bit, the mean of the epoch's
+    # loss_total bundles summed one step at a time, and a diagnostic the
+    # bundles never carry is NaN
+    cfg = small_config(**{"train.epochs": 2, **overrides})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    batches = -(-len(train) // cfg.batch_spec().batch_size)
+    loss_total, bundles = training.loss_total, []
+
+    def record(*args, **kwargs):
+        bundles.append(loss_total(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(training, "loss_total", record)
+    _, stats = run_training(cfg, train)
+    assert len(bundles) == 2 * batches
+    for epoch, got in enumerate(stats):
+        steps = bundles[epoch * batches:(epoch + 1) * batches]
+        sums = np.zeros(4)
+        active_sum, active_n, mmd2_sum, mmd2_n = 0.0, 0, 0.0, 0
+        for b in steps:
+            sums += (b.total, b.id_term, b.margin_mmd_term, b.hctri_term)
+            if b.active_classes is not None:
+                active_sum, active_n = active_sum + b.active_classes, active_n + 1
+            if b.class_mmd2 is not None:
+                mmd2_sum, mmd2_n = mmd2_sum + float(b.class_mmd2.mean()), mmd2_n + 1
+        want = [*sums / batches,
+                active_sum / active_n if active_n else np.nan,
+                mmd2_sum / mmd2_n if mmd2_n else np.nan]
+        have = [got.loss_total, got.loss_id, got.loss_mmd, got.loss_hctri,
+                got.active_classes, got.mean_class_mmd2]
+        assert got.epoch == epoch
+        assert np.array(have).tobytes() == np.array(want).tobytes()
+    gated = overrides == {"mmd.variant": "margin_id"}
+    assert all(np.isnan(s.active_classes) != gated for s in stats)
+    assert all(np.isnan(s.mean_class_mmd2) != gated for s in stats)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
