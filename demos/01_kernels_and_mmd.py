@@ -11,8 +11,6 @@ from xreid import (
     MarginConfig,
     loss_margin_mmd_id,
     loss_mmd_marginal,
-    mmd2_biased,
-    mmd2_unbiased,
 )
 from xreid.data import THERMAL, VISIBLE
 from xreid.kernels import mixture_kernel_matrix, resolve_bandwidth, squared_distances
@@ -45,16 +43,19 @@ g = kernel([[0.0]], [[2.0]], spec2)
 print(f"(exp(-1) + exp(-0.5)) / 2 = {g[0, 0]:.6f}")
 
 print("\n== MMD^2, biased vs unbiased ==")
-xs = np.array([[0.0]])
-ys = np.array([[2.0]])
-est = mmd2_biased(xs, ys, single)
-print(f"two points at distance 2: MMD^2 = {est.value:.6f}  (= 2 - 2 exp(-1))")
-print(f"  terms: same_x={est.same_x_term:.3f} same_y={est.same_y_term:.3f} cross={est.cross_term:.6f}")
+# the marginal loss compares a batch's visible rows with its thermal rows
+pair = FeatureSet(np.array([[0.0], [2.0]]), np.zeros(2, dtype=int), np.array([VISIBLE, THERMAL]))
+value = loss_mmd_marginal(pair, single).value
+print(f"two points at distance 2: MMD^2 = {value:.6f}  (= 2 - 2 exp(-1))")
+xs, ys = [[0.0]], [[2.0]]
+same_x, same_y, cross = (kernel(a, b, single).mean() for a, b in ((xs, xs), (ys, ys), (xs, ys)))
+print(f"  terms: same_x={same_x:.3f} same_y={same_y:.3f} cross={cross:.6f}"
+      "  (MMD^2 = same_x + same_y - 2 cross)")
 
 rng = np.random.default_rng(0)
-z = rng.standard_normal((8, 2))
-u = mmd2_unbiased(z[::2], z[1::2], single)
-print(f"same-distribution split, unbiased estimate: {u.value:+.6f}  (can be negative)")
+split = FeatureSet(rng.standard_normal((8, 2)), np.zeros(8, dtype=int), np.tile([VISIBLE, THERMAL], 4))
+u = loss_mmd_marginal(split, single, "unbiased").value
+print(f"same-distribution split, unbiased estimate: {u:+.6f}  (can be negative)")
 
 print("\n== Margin-gated class-conditional loss ==")
 batch = FeatureSet(

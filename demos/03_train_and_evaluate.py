@@ -39,7 +39,7 @@ feats = encode_dataset(params, test_set, features=cfg["eval.features"])
 query = feats.select(feats.modalities == THERMAL)
 gallery = feats.select(feats.modalities != THERMAL)
 report = evaluate(query, gallery, trials=cfg["eval.trials"],
-                  seed=seeds.stream(cfg.seed, "gallery-trials"))
+                  rng=seeds.stream(cfg.seed, "gallery-trials"))
 print(f"\nretrieval over {report.trials} single-shot gallery trials:")
 print(f"  rank-1 {report.rank(1):.3f}   rank-5 {report.rank(5):.3f}   mAP {report.map:.3f}")
 

@@ -29,7 +29,7 @@ for rho in (0.8, 1.0, 1.2, 1.4, 1.6, 1.8):
     query = feats.select(feats.modalities == THERMAL)
     gallery = feats.select(feats.modalities != THERMAL)
     report = evaluate(query, gallery, trials=cfg["eval.trials"],
-                      seed=seeds.stream(cfg.seed, "gallery-trials"))
+                      rng=seeds.stream(cfg.seed, "gallery-trials"))
     print(f"{rho:.1f}  {report.rank(1):7.3f}  {report.map:6.3f}")
 
 print("\nthe margin gates per-class alignment, so nearby margins behave alike.")

@@ -43,12 +43,9 @@ from .losses import (
 )
 from .mmd import (
     MarginConfig,
-    MmdEstimate,
     loss_margin_mmd_id,
     loss_mmd_id,
     loss_mmd_marginal,
-    mmd2_biased,
-    mmd2_unbiased,
 )
 
 __version__ = "0.1.0"
@@ -63,10 +60,7 @@ __all__ = [
     "BatchSpec",
     "BatchSampler",
     "KernelSpec",
-    "MmdEstimate",
     "MarginConfig",
-    "mmd2_biased",
-    "mmd2_unbiased",
     "loss_mmd_marginal",
     "loss_mmd_id",
     "loss_margin_mmd_id",

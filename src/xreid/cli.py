@@ -147,8 +147,8 @@ def cmd_eval(config: ExperimentConfig, data_dir=None, checkpoint=None) -> EvalRe
     report = evaluate(
         query,
         gallery,
+        rng=seeds.stream(config.seed, "gallery-trials"),
         trials=config["eval.trials"],
-        seed=seeds.stream(config.seed, "gallery-trials"),
         ranking=config["eval.ranking"],
     )
     stats = similarity_stats(feats)

@@ -185,7 +185,6 @@ class ExperimentConfig:
             thermal_noise_scale=v["data.thermal_noise_scale"],
             modality_shift=v["data.modality_shift"],
             per_identity_shift_rotation=v["data.per_identity_shift_rotation"],
-            seed=v["seed"],
         )
 
     def batch_spec(self) -> BatchSpec:

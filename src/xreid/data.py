@@ -128,7 +128,6 @@ class SyntheticSpec:
     thermal_noise_scale: float = 2.0
     modality_shift: float = 4.0
     per_identity_shift_rotation: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         # each check is written as `not x > 0` / `not x >= 0`, so NaN fails it
@@ -162,7 +161,7 @@ class BatchSpec:
         return 2 * self.p * self.k
 
 
-def generate(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> tuple[DescriptorSet, DescriptorSet]:
+def generate(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[DescriptorSet, DescriptorSet]:
     """Generate (train, test) descriptor sets with disjoint identities.
 
     Per identity: a Gaussian cluster center; visible samples are noisy copies
@@ -170,14 +169,13 @@ def generate(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> tup
     ``thermal_noise_scale`` times the noise. The noise is one standard-normal
     draw in (identity, modality, sample) order, visible before thermal, and
     the rows come in that order. Identities are split 80/20 train/test.
-    Fully determined by `spec.seed` unless an explicit generator is passed.
+    Fully determined by ``spec`` and the state of ``rng``, the only source
+    of randomness.
     """
     if spec.num_identities < 4:
         raise ValueError(
             f"need at least 4 identities for a nonempty 80/20 split, got {spec.num_identities}"
         )
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
 
     n_id = spec.num_identities
     h, d = spec.descriptor_count, spec.descriptor_dim

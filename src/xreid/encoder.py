@@ -420,6 +420,8 @@ class SgdHyper:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not self.warmup_epochs >= 0:
             raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if not self.total_epochs >= 0:
+            raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
 
 
 def lr_factor(epoch: int, hyper: SgdHyper) -> float:
@@ -514,24 +516,35 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> EncoderParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises on magic/version mismatch, on an array table that does not match
-    the declared architecture, on a truncated file or bytes after the last
-    blob, and on any shape disagreement with ``expected_shape`` when one is
-    given.
+    Raises ``ValueError`` on a first line that is not JSON, on a header that
+    is not a JSON object holding a ``shape`` of :class:`EncoderShape` fields
+    and an ``arrays`` table of ``{name, shape}`` entries, on magic/version
+    mismatch, on an array table that does not match the declared
+    architecture, on a truncated file or bytes after the last blob, and on
+    any shape disagreement with ``expected_shape`` when one is given.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            raise ValueError(f"{path}: not an encoder checkpoint") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: malformed checkpoint header: not a JSON object")
         if header.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not an encoder checkpoint")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        shape = EncoderShape(**header["shape"])
+        try:
+            shape = EncoderShape(**header["shape"])
+            params = EncoderParams(shape)
+            table = tuple((e["name"], tuple(e["shape"])) for e in header["arrays"])
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f"no {exc} entry" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: malformed checkpoint header: {why}") from None
         if expected_shape is not None and shape != expected_shape:
             raise ValueError(
                 f"{path}: checkpoint shape {shape} does not match expected {expected_shape}"
             )
-        params = EncoderParams(shape)
-        table = tuple((e["name"], tuple(e["shape"])) for e in header["arrays"])
         if table != params.layout:
             raise ValueError(f"{path}: array table does not match the declared architecture")
         blob = fh.read(params.buffer.nbytes)

@@ -103,11 +103,15 @@ def cmc_map(similarities: np.ndarray, query_ids, gallery_ids) -> tuple[np.ndarra
 def evaluate(
     query: FeatureSet,
     gallery: FeatureSet,
+    rng: np.random.Generator,
     trials: int = 10,
-    seed: int | np.random.Generator = 0,
     ranking: str = "cosine",
 ) -> EvalReport:
-    """Single-shot multi-trial cross-modal retrieval evaluation."""
+    """Single-shot multi-trial cross-modal retrieval evaluation.
+
+    Each trial's gallery draw comes from ``rng``, the only source of
+    randomness.
+    """
     q_mods = np.unique(query.modalities)
     g_mods = np.unique(gallery.modalities)
     if len(q_mods) != 1 or len(g_mods) != 1:
@@ -121,7 +125,6 @@ def evaluate(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cells = 2 * np.arange(len(index.ids)) + g_mods[0]  # each identity's gallery pool
     first, counts = index.starts[cells], index.counts[cells]
 

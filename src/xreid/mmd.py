@@ -1,9 +1,9 @@
-"""Squared maximum mean discrepancy estimators and the alignment losses.
+"""The MMD alignment losses: squared maximum mean discrepancy, with gradients.
 
-MMD^2 between two samples is estimated either with the biased V-statistic
-(full double sums, diagonal included; nonnegative) or the unbiased
-U-statistic (diagonal excluded; may be negative, and is never clamped). On
-top of the estimators sit three losses over a labeled feature batch:
+Three losses over a labeled feature batch, each estimating MMD^2 between
+visible and thermal samples with either the biased V-statistic (full double
+sums, diagonal included; nonnegative) or the unbiased U-statistic (diagonal
+excluded; may be negative, and is never clamped):
 
 * marginal: MMD^2 between all visible and all thermal features;
 * class-conditional: the average of per-identity MMD^2 values;
@@ -11,7 +11,7 @@ top of the estimators sit three losses over a labeled feature batch:
   full MMD^2 through while it exceeds the margin rho and contributes exactly
   zero (value and gradient) once it does not.
 
-All five go through one engine: rows are gathered into padded (group, slot)
+All three go through one engine: rows are gathered into padded (group, slot)
 blocks, one group per identity or a single group, visible slots first. One
 ``squared_distances`` call gives every group's distance block, one
 ``resolve_bandwidth`` call every group's base bandwidth (median heuristic
@@ -29,25 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters
-from .data import THERMAL, VISIBLE, CellIndex, FeatureSet, cell_index
+from .data import CellIndex, FeatureSet, cell_index
 from .kernels import KernelSpec, mixture_kernel_matrix, resolve_bandwidth, squared_distances
 
 _ESTIMATORS = ("biased", "unbiased")
-
-
-@dataclass(frozen=True)
-class MmdEstimate:
-    """One MMD^2 estimate with its three expectation terms.
-
-    ``value == same_x_term + same_y_term - 2 * cross_term`` exactly as
-    computed; raw estimates are never clamped (the unbiased one may be
-    negative).
-    """
-
-    value: float
-    same_x_term: float
-    same_y_term: float
-    cross_term: float
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,7 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     """MMD^2 of each group of rows (one per identity of ``index``), and the
     value and gradient of the group average over the groups whose MMD^2
     exceeds ``rho`` (all when None). ``owner`` names a marginal index's one
-    group in errors. Returns ((mmd2, same_x, same_y, cross), active, value,
-    grad)."""
+    group in errors. Returns (mmd2, active, value, grad)."""
     if estimator not in _ESTIMATORS:
         raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
     n_groups = len(index.ids)
@@ -146,35 +130,7 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     gy = (wyy @ ys - wyx @ xs) - ys * (wyy.sum(axis=2) - wyx.sum(axis=2))[..., None]
     grad = np.empty_like(x)
     grad[rows[valid]] = np.concatenate([gx, gy], axis=1)[valid]
-    return (mmd2, same_x, same_y, cross), active, value, grad
-
-
-def _marginal(x, modalities, spec: KernelSpec, estimator: str):
-    # one group holding every row, there even when the rows are not
-    ids = np.zeros(1, dtype=np.int64)
-    index = cell_index(ids.repeat(len(modalities)), modalities, ids=ids)
-    return _engine(x, index, spec, estimator, owner="the batch")
-
-
-def _estimate(xs, ys, spec: KernelSpec, estimator: str) -> MmdEstimate:
-    xs, ys = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (xs, ys))
-    if xs.shape[0] == 0 or ys.shape[0] == 0:
-        raise ValueError("MMD requires nonempty sample sets")
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError(f"dimension mismatch: xs has {xs.shape[1]}, ys has {ys.shape[1]}")
-    modalities = np.repeat([VISIBLE, THERMAL], [len(xs), len(ys)])
-    terms, _, _, _ = _marginal(np.vstack([xs, ys]), modalities, spec, estimator)
-    return MmdEstimate(*(float(t[0]) for t in terms))
-
-
-def mmd2_biased(xs, ys, spec: KernelSpec) -> MmdEstimate:
-    """Biased (V-statistic) MMD^2: full double sums including the diagonal."""
-    return _estimate(xs, ys, spec, "biased")
-
-
-def mmd2_unbiased(xs, ys, spec: KernelSpec) -> MmdEstimate:
-    """Unbiased (U-statistic) MMD^2: same-set diagonals excluded. May be negative."""
-    return _estimate(xs, ys, spec, "unbiased")
+    return mmd2, active, value, grad
 
 
 def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") -> LossValue:
@@ -182,7 +138,10 @@ def loss_mmd_marginal(batch: FeatureSet, spec: KernelSpec, estimator: str = "bia
 
     The unbiased value is the signed U-statistic, not clamped at 0.
     """
-    _, _, value, grad = _marginal(batch.features, batch.modalities, spec, estimator)
+    # one group holding every row, there even when the rows are not
+    ids = np.zeros(1, dtype=np.int64)
+    index = cell_index(ids.repeat(len(batch)), batch.modalities, ids=ids)
+    _, _, value, grad = _engine(batch.features, index, spec, estimator, owner="the batch")
     return LossValue(value, grad)
 
 
@@ -192,7 +151,7 @@ def loss_mmd_id(batch: FeatureSet, spec: KernelSpec, estimator: str = "biased") 
     Each identity of the batch's ``cells`` gets its own median-heuristic
     bandwidth; the unbiased average is signed, not clamped at 0.
     """
-    (mmd2, _, _, _), _, value, grad = _engine(batch.features, batch.cells, spec, estimator)
+    mmd2, _, value, grad = _engine(batch.features, batch.cells, spec, estimator)
     return LossValue(value, grad, batch.cells.ids, mmd2)
 
 
@@ -211,16 +170,13 @@ def loss_margin_mmd_id(
     bitwise. ``active_classes`` counts the classes the gate passed.
     """
     rho = margin.rho if margin.rho > 0 else None
-    (mmd2, _, _, _), active, value, grad = _engine(batch.features, batch.cells, spec, estimator, rho)
+    mmd2, active, value, grad = _engine(batch.features, batch.cells, spec, estimator, rho)
     return LossValue(value, grad, batch.cells.ids, mmd2, int(active.sum()))
 
 
 __all__ = [
-    "MmdEstimate",
     "MarginConfig",
     "LossValue",
-    "mmd2_biased",
-    "mmd2_unbiased",
     "loss_mmd_marginal",
     "loss_mmd_id",
     "loss_margin_mmd_id",

@@ -95,6 +95,14 @@ def random_two_modality_batch(rng, n_classes=2, per_cell=(1, 4), dim=3, scale=1.
     return FeatureSet(np.array(feats), np.array(ids), np.array(mods))
 
 
+def two_sample_batch(xs, ys):
+    """Samples xs (visible) and ys (thermal) as one FeatureSet of one
+    identity: the two-sample input of the marginal MMD loss."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    modalities = np.repeat([VISIBLE, THERMAL], [len(xs), len(ys)])
+    return FeatureSet(np.vstack([xs, ys]), np.zeros(len(modalities), dtype=np.int64), modalities)
+
+
 def cmc_map_oracle(similarities, query_ids, gallery_ids):
     """Brute-force CMC/mAP: explicit stable sort and precision-at-hit."""
     n_q, n_g = similarities.shape

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_utils import fd_gradient, mmd2_oracle, rel_error
+from oracle_utils import fd_gradient, mmd2_oracle, rel_error, two_sample_batch
 from xreid import counters, seeds
 from xreid.cli import cmd_eval, cmd_generate, cmd_sweep_margin, cmd_train
 from xreid.config import ExperimentConfig
@@ -25,8 +25,6 @@ from xreid.mmd import (
     loss_margin_mmd_id,
     loss_mmd_id,
     loss_mmd_marginal,
-    mmd2_biased,
-    mmd2_unbiased,
 )
 from oracle_utils import cmc_map_oracle
 
@@ -81,13 +79,14 @@ def test_criterion_1_mmd_oracle_suite():
         scales = (0.5, 1.0, 2.0)
         spec = KernelSpec(sigma_squared=base, mixture_scales=scales)
         sigma2s = [s * base for s in scales]
+        batch = two_sample_batch(xs, ys)
         for unbiased in (False, True):
-            est = (mmd2_unbiased if unbiased else mmd2_biased)(xs, ys, spec)
+            est = loss_mmd_marginal(batch, spec, "unbiased" if unbiased else "biased")
             expected = mmd2_oracle(xs, ys, sigma2s, unbiased=unbiased)
             assert abs(est.value - expected) < 1e-10
             checked += 1
-    two_point = mmd2_biased(
-        np.array([[0.0]]), np.array([[2.0]]), KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
+    two_point = loss_mmd_marginal(
+        two_sample_batch([[0.0]], [[2.0]]), KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
     )
     assert abs(two_point.value - (2.0 - 2.0 * np.exp(-1.0))) < 1e-12
     elapsed = time.perf_counter() - start
@@ -276,7 +275,7 @@ def test_criterion_5_retrieval_oracle():
     gallery = FeatureSet(rng.standard_normal((g, 8)), np.arange(g), np.full(g, VISIBLE))
     query = FeatureSet(rng.standard_normal((queries, 8)), rng.integers(0, g, queries),
                        np.full(queries, THERMAL))
-    rep = evaluate(query, gallery, trials=1, seed=3)
+    rep = evaluate(query, gallery, trials=1, rng=np.random.default_rng(3))
     expected_map = sum(1.0 / r for r in range(1, g + 1)) / g
     var_bound = sum(1.0 / r**2 for r in range(1, g + 1)) / g
     assert abs(rep.map - expected_map) <= 3 * np.sqrt(var_bound / queries)

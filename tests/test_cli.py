@@ -15,6 +15,7 @@ from xreid.cli import (
     main,
 )
 from xreid.config import ExperimentConfig
+from xreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 
 def tiny_config(out_dir, **overrides):
@@ -122,6 +123,39 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err == "error: base_lr must be finite and > 0, got -0.0005\n"
         assert not (tmp_path / "train" / "checkpoint.bin").exists()
+
+    def test_negative_epochs_is_one_error_line(self, tmp_path, capsys):
+        # a negative count would skip the loop and write an untrained
+        # checkpoint with a header-only log; train refuses it instead
+        cmd_generate(tiny_config(tmp_path))
+        code = main(["train", "--set", f"output.dir={tmp_path}", "--set", "train.epochs=-3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: total_epochs must be >= 0, got -3\n"
+        assert not (tmp_path / "train" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("header, message", [
+        (42, "not a JSON object"),
+        ({"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION}, "no 'shape' entry"),
+        (
+            {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+             "shape": {"descriptor_dim": 8, "num_classes": 2, "depth": 3}, "arrays": []},
+            "unexpected keyword argument 'depth'",
+        ),
+        (
+            {"magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+             "shape": {"descriptor_dim": "8", "num_classes": 2}, "arrays": []},
+            "'str'",
+        ),
+    ], ids=["not-an-object", "no-shape", "unknown-shape-field", "text-shape-field"])
+    def test_malformed_checkpoint_header_is_one_error_line(self, tmp_path, capsys, header, message):
+        cmd_generate(tiny_config(tmp_path))
+        checkpoint = tmp_path / "bad.bin"
+        checkpoint.write_text(json.dumps(header) + "\n")
+        code = main(["eval", "--set", f"output.dir={tmp_path}", "--checkpoint", str(checkpoint)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: malformed checkpoint header: ")
+        assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.slow

@@ -66,8 +66,8 @@ class TestFeatureSet:
 
 class TestGenerate:
     def test_split_sizes_and_disjoint(self):
-        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=5, seed=3)
-        train, test = generate(spec)
+        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=5)
+        train, test = generate(spec, np.random.default_rng(3))
         assert len(np.unique(train.identities)) == 40
         assert len(np.unique(test.identities)) == 10
         assert not set(train.identities.tolist()) & set(test.identities.tolist())
@@ -76,18 +76,18 @@ class TestGenerate:
 
     def test_disjoint_split_across_seeds(self):
         for seed in range(20):
-            spec = SyntheticSpec(num_identities=15, samples_per_identity_per_modality=1, seed=seed)
-            train, test = generate(spec)
+            spec = SyntheticSpec(num_identities=15, samples_per_identity_per_modality=1)
+            train, test = generate(spec, np.random.default_rng(seed))
             assert not set(train.identities.tolist()) & set(test.identities.tolist())
             assert len(np.unique(test.identities)) >= 1
 
     def test_deterministic_from_seed(self):
-        spec = SyntheticSpec(num_identities=8, samples_per_identity_per_modality=3, seed=11)
-        a_train, a_test = generate(spec)
-        b_train, b_test = generate(spec)
+        spec = SyntheticSpec(num_identities=8, samples_per_identity_per_modality=3)
+        a_train, a_test = generate(spec, np.random.default_rng(11))
+        b_train, b_test = generate(spec, np.random.default_rng(11))
         assert np.array_equal(a_train.descriptors, b_train.descriptors)
         assert np.array_equal(a_test.descriptors, b_test.descriptors)
-        other = generate(SyntheticSpec(num_identities=8, samples_per_identity_per_modality=3, seed=12))
+        other = generate(spec, np.random.default_rng(12))
         assert not np.array_equal(a_train.descriptors, other[0].descriptors)
 
     def test_degenerate_alignment(self):
@@ -96,9 +96,8 @@ class TestGenerate:
             samples_per_identity_per_modality=2,
             within_noise=1e-12,
             modality_shift=0.0,
-            seed=0,
         )
-        train, _ = generate(spec)
+        train, _ = generate(spec, np.random.default_rng(0))
         for c in np.unique(train.identities):
             rows = train.descriptors[train.identities == c]
             assert np.allclose(rows, rows[0], atol=1e-9)
@@ -110,19 +109,18 @@ class TestGenerate:
             identity_spread=1.0,
             within_noise=0.05,
             modality_shift=50.0,
-            seed=1,
         )
-        _, test = generate(spec)
+        _, test = generate(spec, np.random.default_rng(1))
         feats = FeatureSet(test.descriptors.mean(axis=1), test.identities, test.modalities)
         query = feats.select(feats.modalities == THERMAL)
         gallery = feats.select(feats.modalities == VISIBLE)
-        report = evaluate(query, gallery, trials=10, seed=0)
+        report = evaluate(query, gallery, trials=10, rng=np.random.default_rng(0))
         g = len(np.unique(gallery.identities))
         assert abs(report.rank(1) - 1.0 / g) <= 0.1
 
     def test_too_few_identities(self):
         with pytest.raises(ValueError, match="at least 4"):
-            generate(SyntheticSpec(num_identities=3))
+            generate(SyntheticSpec(num_identities=3), np.random.default_rng(0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -146,8 +144,8 @@ class TestGenerate:
 class TestSampleBatch:
     @pytest.fixture()
     def train(self):
-        spec = SyntheticSpec(num_identities=20, samples_per_identity_per_modality=6, seed=5)
-        return generate(spec)[0]
+        spec = SyntheticSpec(num_identities=20, samples_per_identity_per_modality=6)
+        return generate(spec, np.random.default_rng(5))[0]
 
     def test_structure(self, train):
         rng = np.random.default_rng(0)
@@ -180,8 +178,8 @@ class TestSampleBatch:
             assert batch.modalities[rows].tolist() == [VISIBLE, VISIBLE, THERMAL, THERMAL]
 
     def test_replacement_when_cell_small(self):
-        spec = SyntheticSpec(num_identities=6, samples_per_identity_per_modality=2, seed=7)
-        train, _ = generate(spec)
+        spec = SyntheticSpec(num_identities=6, samples_per_identity_per_modality=2)
+        train, _ = generate(spec, np.random.default_rng(7))
         rng = np.random.default_rng(3)
         batch = sample_batch(train, BatchSpec(p=2, k=5), rng)
         assert len(batch) == 2 * 2 * 5
@@ -246,8 +244,8 @@ class TestSampleBatch:
 
 class TestDumpLoad:
     def test_round_trip_lossless(self, tmp_path):
-        spec = SyntheticSpec(num_identities=5, samples_per_identity_per_modality=2, seed=9)
-        train, _ = generate(spec)
+        spec = SyntheticSpec(num_identities=5, samples_per_identity_per_modality=2)
+        train, _ = generate(spec, np.random.default_rng(9))
         path = tmp_path / "train.csv"
         dump(train, path)
         loaded = load(path)
@@ -257,8 +255,8 @@ class TestDumpLoad:
 
     def test_header_declares_shape_and_version(self, tmp_path):
         spec = SyntheticSpec(num_identities=4, samples_per_identity_per_modality=1,
-                             descriptor_count=3, descriptor_dim=5, seed=0)
-        train, _ = generate(spec)
+                             descriptor_count=3, descriptor_dim=5)
+        train, _ = generate(spec, np.random.default_rng(0))
         path = tmp_path / "d.csv"
         dump(train, path)
         header = path.read_text().splitlines()[0]
@@ -362,9 +360,9 @@ class TestDumpLoad:
     def test_load_peak_memory_bounded(self, tmp_path):
         # one structured parse plus one copy of the descriptors: no Python
         # float per value (a per-value parse peaks above 5x the arrays)
-        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=20, seed=2)
+        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=20)
         path = tmp_path / "train.csv"
-        dump(generate(spec)[0], path)
+        dump(generate(spec, np.random.default_rng(2))[0], path)
         tracemalloc.start()
         try:
             loaded = load(path)

@@ -410,6 +410,7 @@ class TestSgdHyper:
         ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
         ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
         ("warmup_epochs", -1, "warmup_epochs must be >= 0"),
+        ("total_epochs", -3, "total_epochs must be >= 0"),
     ])
     def test_bad_value_rejected(self, field, value, message):
         kwargs = {"base_lr": 0.1, field: value}
@@ -417,7 +418,7 @@ class TestSgdHyper:
             SgdHyper(**kwargs)
 
     def test_boundary_values_accepted(self):
-        SgdHyper(base_lr=1e-12, momentum=0.0, weight_decay=0.0, warmup_epochs=0)
+        SgdHyper(base_lr=1e-12, momentum=0.0, weight_decay=0.0, warmup_epochs=0, total_epochs=0)
 
 
 class TestCheckpoint:
@@ -489,6 +490,13 @@ class TestCheckpoint:
         path = tmp_path / "e.bin"
         path.write_bytes(b'{"magic": "something-else"}\n')
         with pytest.raises(ValueError, match="not an encoder checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("first_line", [b"garbage\n", b"\xff\xfe\x00\n"], ids=["not-json", "not-utf8"])
+    def test_non_json_header_rejected(self, tmp_path, first_line):
+        path = tmp_path / "g.bin"
+        path.write_bytes(first_line)
+        with pytest.raises(ValueError, match=r"g\.bin: not an encoder checkpoint"):
             load_checkpoint(path)
 
 

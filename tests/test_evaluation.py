@@ -109,7 +109,7 @@ class TestEvaluate:
         feats = rng.standard_normal((6, 4))
         query = feature_set(feats, np.arange(6), THERMAL)
         gallery = feature_set(feats, np.arange(6), VISIBLE)
-        report = evaluate(query, gallery, trials=3, seed=0)
+        report = evaluate(query, gallery, trials=3, rng=np.random.default_rng(0))
         assert report.rank(1) == 1.0
         assert report.map == 1.0
 
@@ -117,7 +117,7 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         gallery = feature_set(rng.standard_normal((12, 3)), np.repeat(np.arange(4), 3), VISIBLE)
         query = feature_set(rng.standard_normal((4, 3)), np.arange(4), THERMAL)
-        report = evaluate(query, gallery, trials=5, seed=1)
+        report = evaluate(query, gallery, trials=5, rng=np.random.default_rng(1))
         assert report.cmc.shape == (4,)          # one gallery item per identity
         assert report.per_trial_cmc.shape == (5, 4)
         assert report.cmc[-1] == 1.0
@@ -126,7 +126,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         gallery = feature_set(rng.standard_normal((20, 5)), np.arange(20) % 10, VISIBLE)
         query = feature_set(rng.standard_normal((30, 5)), np.arange(30) % 10, THERMAL)
-        report = evaluate(query, gallery, trials=4, seed=2)
+        report = evaluate(query, gallery, trials=4, rng=np.random.default_rng(2))
         assert np.all(np.diff(report.cmc) >= -1e-15)
         assert np.all((0 <= report.cmc) & (report.cmc <= 1))
         assert 0.0 <= report.map <= 1.0
@@ -139,7 +139,7 @@ class TestEvaluate:
         queries = 2000
         gallery = feature_set(rng.standard_normal((g, 8)), np.arange(g), VISIBLE)
         query = feature_set(rng.standard_normal((queries, 8)), rng.integers(0, g, queries), THERMAL)
-        report = evaluate(query, gallery, trials=1, seed=3)
+        report = evaluate(query, gallery, trials=1, rng=np.random.default_rng(3))
         expected_map = sum(1.0 / r for r in range(1, g + 1)) / g
         assert expected_map == pytest.approx(0.2928968, abs=1e-7)
         ap_sigma = report.per_trial_map.std() if report.trials > 1 else 0.0
@@ -153,28 +153,28 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         gallery = feature_set(rng.standard_normal((9, 3)), np.repeat(np.arange(3), 3), VISIBLE)
         query = feature_set(rng.standard_normal((6, 3)), np.arange(6) % 3, THERMAL)
-        a = evaluate(query, gallery, trials=7, seed=42)
-        b = evaluate(query, gallery, trials=7, seed=42)
+        a = evaluate(query, gallery, trials=7, rng=np.random.default_rng(42))
+        b = evaluate(query, gallery, trials=7, rng=np.random.default_rng(42))
         assert np.array_equal(a.per_trial_cmc, b.per_trial_cmc)
         assert np.array_equal(a.per_trial_map, b.per_trial_map)
 
     def test_same_modality_rejected(self):
         fs = feature_set(np.zeros((2, 2)), [0, 1], VISIBLE)
         with pytest.raises(ValueError, match="modality"):
-            evaluate(fs, fs, trials=1, seed=0)
+            evaluate(fs, fs, trials=1, rng=np.random.default_rng(0))
 
     def test_query_identity_missing_named(self):
         query = feature_set(np.zeros((1, 2)), [9], THERMAL)
         gallery = feature_set(np.zeros((2, 2)), [0, 1], VISIBLE)
         with pytest.raises(ValueError, match="9"):
-            evaluate(query, gallery, trials=1, seed=0)
+            evaluate(query, gallery, trials=1, rng=np.random.default_rng(0))
 
     def test_euclidean_ranking_flag(self):
         # cosine and euclidean disagree when a far point shares direction
         query = feature_set([[1.0, 0.0]], [0], THERMAL)
         gallery = feature_set([[10.0, 0.0], [0.9, 0.45]], [0, 1], VISIBLE)
-        cos = evaluate(query, gallery, trials=1, seed=0, ranking="cosine")
-        euc = evaluate(query, gallery, trials=1, seed=0, ranking="euclidean")
+        cos = evaluate(query, gallery, trials=1, rng=np.random.default_rng(0), ranking="cosine")
+        euc = evaluate(query, gallery, trials=1, rng=np.random.default_rng(0), ranking="euclidean")
         assert cos.rank(1) == 1.0
         assert euc.rank(1) == 0.0
 
@@ -209,7 +209,7 @@ class TestEvaluateMatchesReference:
 
         evaluation.similarity_matrix = record
         try:
-            report = evaluate(query, gallery, trials=trials, seed=seed, ranking=ranking)
+            report = evaluate(query, gallery, trials=trials, rng=np.random.default_rng(seed), ranking=ranking)
         finally:
             evaluation.similarity_matrix = original
 

@@ -9,6 +9,7 @@ from oracle_utils import (
     mmd2_oracle,
     random_two_modality_batch,
     rel_error,
+    two_sample_batch,
 )
 from xreid import counters, mmd
 from xreid.data import FeatureSet, THERMAL, VISIBLE
@@ -19,11 +20,14 @@ from xreid.mmd import (
     loss_margin_mmd_id,
     loss_mmd_id,
     loss_mmd_marginal,
-    mmd2_biased,
-    mmd2_unbiased,
 )
 
 SINGLE = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0,))
+
+
+def mmd2(xs, ys, spec, estimator="biased"):
+    """MMD^2 of two samples: the marginal loss of xs (visible) and ys (thermal)."""
+    return loss_mmd_marginal(two_sample_batch(xs, ys), spec, estimator).value
 
 
 def pk_batch(rng, p, k, dim=3, gap=3.0):
@@ -44,60 +48,50 @@ class TestEstimators:
     def test_identical_sets_biased_zero(self):
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((5, 3))
-        est = mmd2_biased(xs, xs.copy(), KernelSpec())
-        assert abs(est.value) < 1e-12
+        assert abs(mmd2(xs, xs.copy(), KernelSpec())) < 1e-12
 
     def test_two_point_closed_form(self):
-        est = mmd2_biased(np.array([[0.0]]), np.array([[2.0]]), SINGLE)
+        value = mmd2(np.array([[0.0]]), np.array([[2.0]]), SINGLE)
         expected = 1.0 + 1.0 - 2.0 * np.exp(-1.0)
-        assert est.value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.264241, abs=5e-7)
-        assert est.same_x_term == 1.0 and est.same_y_term == 1.0
 
     def test_all_identical_points(self):
-        est = mmd2_biased(np.zeros((2, 1)), np.zeros((1, 1)), SINGLE)
-        assert est.value == 0.0
-
-    def test_terms_reconstruct_value(self):
-        rng = np.random.default_rng(1)
-        est = mmd2_biased(rng.standard_normal((4, 2)), rng.standard_normal((6, 2)), KernelSpec())
-        recon = est.same_x_term + est.same_y_term - 2.0 * est.cross_term
-        assert est.value == pytest.approx(recon, abs=1e-12)
+        assert mmd2(np.zeros((2, 1)), np.zeros((1, 1)), SINGLE) == 0.0
 
     def test_unbiased_duplicate_points_zero(self):
         xs = np.tile([[1.5, -0.5]], (2, 1))
-        est = mmd2_unbiased(xs, xs.copy(), SINGLE)
-        assert abs(est.value) < 1e-12
+        assert abs(mmd2(xs, xs.copy(), SINGLE, "unbiased")) < 1e-12
 
     def test_unbiased_hand_case(self):
         # xs={0,1}, ys={3,4}, sigma^2=0.5: value from the double-loop oracle
         xs = np.array([[0.0], [1.0]])
         ys = np.array([[3.0], [4.0]])
         spec = KernelSpec(sigma_squared=0.5, mixture_scales=(1.0,))
-        est = mmd2_unbiased(xs, ys, spec)
+        value = mmd2(xs, ys, spec, "unbiased")
         expected = mmd2_oracle(xs, ys, [0.5], unbiased=True)
-        assert est.value == pytest.approx(expected, abs=1e-12)
-        assert est.value == pytest.approx(0.7264776, abs=1e-6)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(0.7264776, abs=1e-6)
 
     def test_unbiased_can_be_negative(self):
         # interleaved samples from one distribution often give a negative estimate
         rng = np.random.default_rng(7)
+        spec = KernelSpec(sigma_squared=1.0, mixture_scales=(1.0,))
         found_negative = False
         for _ in range(50):
             z = rng.standard_normal((6, 1))
-            est = mmd2_unbiased(z[::2], z[1::2], KernelSpec(sigma_squared=1.0, mixture_scales=(1.0,)))
-            if est.value < 0:
+            if mmd2(z[::2], z[1::2], spec, "unbiased") < 0:
                 found_negative = True
                 break
         assert found_negative
 
     def test_unbiased_needs_two_per_set(self):
         with pytest.raises(ValueError, match=">= 2"):
-            mmd2_unbiased(np.zeros((1, 1)), np.zeros((3, 1)), SINGLE)
+            mmd2(np.zeros((1, 1)), np.zeros((3, 1)), SINGLE, "unbiased")
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            mmd2_biased(np.zeros((0, 1)), np.zeros((3, 1)), SINGLE)
+        with pytest.raises(ValueError, match="the batch has no visible features"):
+            mmd2(np.zeros((0, 1)), np.zeros((3, 1)), SINGLE)
 
     @pytest.mark.parametrize("unbiased", [False, True])
     def test_oracle_equivalence_random_batches(self, unbiased):
@@ -111,9 +105,9 @@ class TestEstimators:
             scales = (0.5, 1.0, 2.0)
             base = 1.7
             spec = KernelSpec(sigma_squared=base, mixture_scales=scales)
-            est = (mmd2_unbiased if unbiased else mmd2_biased)(xs, ys, spec)
+            value = mmd2(xs, ys, spec, "unbiased" if unbiased else "biased")
             expected = mmd2_oracle(xs, ys, [s * base for s in scales], unbiased=unbiased)
-            assert est.value == pytest.approx(expected, abs=1e-10)
+            assert value == pytest.approx(expected, abs=1e-10)
 
 
 class TestMarginalLoss:
