@@ -84,15 +84,38 @@ def _manifest_path(dataset_dir: Path) -> Path:
     return path
 
 
-def load_dataset(dataset_dir, split: str) -> DescriptorSet:
-    """Load one split (``"train"`` or ``"test"``) of a generated dataset,
-    refusing on a checksum mismatch in any manifest file, unparsed ones too."""
-    dataset_dir = Path(dataset_dir)
-    with open(_manifest_path(dataset_dir), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+def _manifest_files(path: Path) -> dict[str, str]:
+    """The ``files`` table (file name -> SHA-256 hex digest) of the manifest
+    at ``path``, or a :class:`CliError` naming what is malformed: text that
+    is not a JSON object, an unsupported version, a missing ``files``
+    object, a name that is not a plain file name in the dataset directory,
+    or a checksum that is not a string."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise CliError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CliError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise CliError(f"unsupported manifest version {manifest.get('version')}")
-    for name, expected in manifest["files"].items():
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise CliError(f"{path}: manifest has no 'files' object of file name: checksum")
+    for name, checksum in files.items():
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise CliError(f"{path}: manifest file {name!r} is not a plain file name")
+        if not isinstance(checksum, str):
+            raise CliError(f"{path}: manifest checksum of {name!r} is not a string: {checksum!r}")
+    return files
+
+
+def load_dataset(dataset_dir, split: str) -> DescriptorSet:
+    """Load one split (``"train"`` or ``"test"``) of a generated dataset,
+    refusing on a malformed manifest and on a checksum mismatch in any
+    manifest file, unparsed ones too."""
+    dataset_dir = Path(dataset_dir)
+    for name, expected in _manifest_files(_manifest_path(dataset_dir)).items():
         actual = _sha256(dataset_dir / name)
         if actual != expected:
             raise CliError(

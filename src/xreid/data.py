@@ -17,7 +17,8 @@ built on first use, which the sampler, the per-class losses and the
 evaluator's gallery draws share. Both raise a ``ValueError`` naming the fault
 for labels that are not 1-D or not one per row, a modality other than
 VISIBLE or THERMAL, and a NaN or inf value, so ``cells`` means what the
-labels say.
+labels say; ``select`` takes rows of such a checked set without checking
+them again.
 """
 
 from __future__ import annotations
@@ -61,6 +62,25 @@ def _check_rows(labelled, name: str, axes: tuple[str, ...]) -> None:
         object.__setattr__(labelled, field, array)
 
 
+def _prechecked(cls, values, identities, modalities):
+    """A ``cls`` (:class:`FeatureSet` or :class:`DescriptorSet`) holding the
+    arrays as given, without :func:`_check_rows`: for arrays that already
+    pass it as stored (float64 finite values, 1-D int64 labels, one per
+    row, modalities VISIBLE or THERMAL), such as rows of a checked set."""
+    labelled = object.__new__(cls)
+    vars(labelled).update(zip(cls.__dataclass_fields__, (values, identities, modalities)))
+    return labelled
+
+
+def _select(labelled, values, index):
+    # rows of a checked set pass the checks as they are: only the index's
+    # shape can break a set, and then only its labels can show it
+    identities = labelled.identities[index]
+    if identities.ndim != 1:
+        raise ValueError(f"select takes a 1-D row index or mask, got {np.shape(index)}")
+    return _prechecked(type(labelled), values[index], identities, labelled.modalities[index])
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """A batch of feature vectors with parallel identity and modality labels."""
@@ -75,8 +95,11 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.features)
 
-    def select(self, mask: np.ndarray) -> "FeatureSet":
-        return FeatureSet(self.features[mask], self.identities[mask], self.modalities[mask])
+    def select(self, index: np.ndarray) -> "FeatureSet":
+        """The rows at a 1-D integer ``index`` or boolean mask. They come from
+        this checked set, so the arrays are what the validating constructor
+        would store, and they are not checked again."""
+        return _select(self, self.features, index)
 
     @cached_property
     def cells(self) -> CellIndex:
@@ -104,7 +127,8 @@ class DescriptorSet:
         return len(self.descriptors)
 
     def select(self, index: np.ndarray) -> "DescriptorSet":
-        return DescriptorSet(self.descriptors[index], self.identities[index], self.modalities[index])
+        """The rows at ``index``, unchecked, as :meth:`FeatureSet.select`."""
+        return _select(self, self.descriptors, index)
 
     cells = FeatureSet.cells
 
@@ -233,14 +257,12 @@ class CellIndex:
     def rows(self, c: int) -> np.ndarray:
         return self.order[self.starts[c]:self.starts[c + 1]]
 
-    def first_empty(self, cells=None) -> tuple[int, int] | None:
-        """(identity, modality) of the first empty cell among ``cells``
-        (every cell, in cell order, by default), or None."""
-        cells = np.arange(len(self.counts)) if cells is None else np.asarray(cells)
-        empty = cells[self.counts[cells] == 0]
-        if len(empty) == 0:
+    def first_empty(self) -> tuple[int, int] | None:
+        """(identity, modality) of the first empty cell, in cell order, or None."""
+        if self.counts.all():
             return None
-        return int(self.ids[empty[0] // 2]), int(empty[0] % 2)
+        empty = int(np.argmin(self.counts))
+        return int(self.ids[empty // 2]), empty % 2
 
 
 def cell_index(identities, modalities, ids=None) -> CellIndex:
@@ -265,18 +287,26 @@ def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generat
     thermal samples per identity. Output rows are grouped by identity with
     the visible block before the thermal block. Each cell's pool is a slice
     of the dataset's ``cells``.
+
+    The draws are those of ``rng.choice(cells.ids, P, replace=False)`` and,
+    per cell, ``rng.choice(cells.rows(c), K, replace=count < K)``: each call
+    is made with the pool's size, which draws the same positions, and the
+    positions then index the pool.
     """
     index = dataset.cells
     if len(index.ids) < spec.p:
         raise ValueError(f"dataset has {len(index.ids)} identities, batch needs P={spec.p}")
-    chosen = rng.choice(index.ids, size=spec.p, replace=False)
-    cells = (2 * np.searchsorted(index.ids, chosen)[:, None] + np.array([VISIBLE, THERMAL])).ravel()
-    gap = index.first_empty(cells)
-    if gap is not None:
-        raise ValueError(f"identity {gap[0]} has no samples of modality {gap[1]}")
+    ranks = rng.choice(len(index.ids), size=spec.p, replace=False)
+    cells = (2 * ranks[:, None] + np.array([VISIBLE, THERMAL])).ravel()
+    counts = index.counts[cells]
+    if not counts.all():
+        empty = cells[np.argmin(counts)]
+        raise ValueError(f"identity {index.ids[empty // 2]} has no samples of modality {empty % 2}")
     # uniform without replacement when the cell is big enough, else with
-    picks = [rng.choice(index.rows(c), size=spec.k, replace=index.counts[c] < spec.k) for c in cells]
-    return dataset.select(np.concatenate(picks))
+    k = spec.k
+    picks = np.concatenate([rng.choice(count, size=k, replace=count < k) for count in counts.tolist()])
+    picks += np.repeat(index.starts[cells], k)
+    return dataset.select(index.order[picks])
 
 
 class BatchSampler:

@@ -91,7 +91,7 @@ class EncoderParams(Mapping):
     Write parameters in place (``w[...] = value``, or ``params[name] =
     value``, which copies into the view and checks its shape); the layer
     stacks are tuples of ``(w, b)`` views so that a layer cannot be rebound
-    out of the buffer. :func:`backward` returns its gradient as one of these.
+    out of the buffer. :func:`backward` writes its gradient into one of these.
     """
 
     def __init__(self, shape: EncoderShape, buffer: np.ndarray | None = None):
@@ -209,6 +209,7 @@ class Tape:
     specific_thermal: list
     shared: list            # its last array is gem_in's buffer
     gem_in: np.ndarray      # (N, H, D) post-ReLU descriptor outputs
+    gem_pow: np.ndarray | None  # gem_in ** p with a learnable p, else None
     gem_mean: np.ndarray    # (N, D) mean of x^p
     pooled: np.ndarray
     bn_ivar: np.ndarray
@@ -238,10 +239,10 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
 def _pool(params: EncoderParams, descriptors, modalities, records=(None, None, None)):
     """The dense stacks, then GeM pooling over each sample's H descriptors.
 
-    Returns the flat rows of each modality, the GeM input, its mean of x^p
-    and the pooled features. With ``records`` (one list per stack: visible,
-    thermal, shared) each stack appends its layers' inputs and its output;
-    the shared stack's output is the GeM input's buffer.
+    Returns the flat rows of each modality, the GeM input, its x^p, the
+    mean of that and the pooled features. With ``records`` (one list per
+    stack: visible, thermal, shared) each stack appends its layers' inputs
+    and its output; the shared stack's output is the GeM input's buffer.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     modalities = np.asarray(modalities)
@@ -264,8 +265,10 @@ def _pool(params: EncoderParams, descriptors, modalities, records=(None, None, N
 
     gem_in = out.reshape(n, h, out.shape[1])
     p = float(params.gem_p)
-    gem_mean = np.mean(_pow(gem_in, p), axis=1)
-    return vis_rows, th_rows, gem_in, gem_mean, _pow(gem_mean, 1.0 / p)
+    gem_pow = _pow(gem_in, p)
+    gem_mean = np.add.reduce(gem_pow, axis=1)
+    gem_mean /= h  # numpy's mean over axis 1, without its call overhead
+    return vis_rows, th_rows, gem_in, gem_pow, gem_mean, _pow(gem_mean, 1.0 / p)
 
 
 def _batch_norm(params: EncoderParams, pooled, mu, var):
@@ -287,10 +290,21 @@ def forward(
     exactly per-sample.
     """
     records = ([], [], [])
-    vis_rows, th_rows, gem_in, gem_mean, pooled = _pool(params, descriptors, modalities, records)
+    vis_rows, th_rows, gem_in, gem_pow, gem_mean, pooled = _pool(
+        params, descriptors, modalities, records
+    )
+    if not params.shape.gem_p_learnable:
+        gem_pow = None  # only the GeM power's gradient reads it
     if train:
-        mu = pooled.mean(axis=0)
-        var = pooled.var(axis=0)
+        # numpy's mean and var (ddof 0) of the columns, sharing one column
+        # sum: the same operations in the same order, so the same bits
+        n = len(pooled)
+        mu = np.add.reduce(pooled, axis=0)
+        mu /= n
+        var = np.subtract(pooled, mu)
+        np.square(var, out=var)
+        var = np.add.reduce(var, axis=0)
+        var /= n
         mom = params.shape.bn_momentum
         params.bn_running_mean *= 1.0 - mom
         params.bn_running_mean += mom * mu
@@ -302,7 +316,7 @@ def forward(
     ivar, xhat, bn_features = _batch_norm(params, pooled, mu, var)
     logits = bn_features @ params.cls_w + params.cls_b
     return Tape(params, train, vis_rows, th_rows, *records,
-                gem_in, gem_mean, pooled, ivar, xhat, bn_features, logits)
+                gem_in, gem_pow, gem_mean, pooled, ivar, xhat, bn_features, logits)
 
 
 def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> np.ndarray:
@@ -335,13 +349,15 @@ def _stack_backward(layers, record, d_out, grad_layers, input_grad=True):
     return d_out if input_grad else None
 
 
-def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
+def backward(tape: Tape, grad_pooled, grad_logits, out: EncoderParams) -> EncoderParams:
     """Exact gradients of (grad_pooled . pooled + grad_logits . logits).
 
-    Returns the gradient as an :class:`EncoderParams` of the parameters'
-    shape; the arrays of untrained ones (BN running statistics, a fixed GeM
-    power) stay 0. BN batch statistics are differentiated through in
-    training mode.
+    Writes the gradient into ``out``, an :class:`EncoderParams` of the
+    parameters' shape whose old values are never read, and returns it. A
+    training loop passes the same ``out`` every step instead of building a
+    gradient set per step. Every slot is written: the arrays of untrained
+    parameters (BN running statistics, a fixed GeM power) are set to 0. BN
+    batch statistics are differentiated through in training mode.
     """
     params = tape.params
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
@@ -354,7 +370,11 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match tape logits {tape.logits.shape}"
         )
-    grads = params.zeros_like()
+    grads = out
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match the parameters' {params.shape}")
+    grads.bn_running_mean[...] = 0.0
+    grads.bn_running_var[...] = 0.0
     n, h = tape.gem_in.shape[:2]
 
     # classifier
@@ -363,13 +383,15 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
     d_bn_features = grad_logits @ params.cls_w.T
 
     # batch norm
-    grads.bn_gamma[...] = (d_bn_features * tape.bn_xhat).sum(axis=0)
-    grads.bn_beta[...] = d_bn_features.sum(axis=0)
+    np.add.reduce(d_bn_features * tape.bn_xhat, axis=0, out=grads.bn_gamma)
+    np.add.reduce(d_bn_features, axis=0, out=grads.bn_beta)
     d_xhat = d_bn_features * params.bn_gamma
     if tape.train:
         m = float(n)
         d_pooled_bn = (tape.bn_ivar / m) * (
-            m * d_xhat - d_xhat.sum(axis=0) - tape.bn_xhat * (d_xhat * tape.bn_xhat).sum(axis=0)
+            m * d_xhat
+            - np.add.reduce(d_xhat, axis=0)
+            - tape.bn_xhat * np.add.reduce(d_xhat * tape.bn_xhat, axis=0)
         )
     else:
         d_pooled_bn = d_xhat * tape.bn_ivar
@@ -383,10 +405,12 @@ def backward(tape: Tape, grad_pooled, grad_logits) -> EncoderParams:
     # 0 ** 0 is 1, which _pow does not give
     d_gem_in = _pow(tape.gem_in, p - 1.0) if p > 1.0 else np.ones_like(tape.gem_in)
     d_gem_in *= (d_pooled * outer / h)[:, None, :]
-    if params.shape.gem_p_learnable:
+    if tape.gem_pow is None:
+        grads.gem_p[...] = 0.0
+    else:
         # log(1) is 0, so the entries at 0 contribute exactly 0
         log_m = np.log(safe_mean)
-        x_logx = _pow(tape.gem_in, p) * np.log(np.where(tape.gem_in > 0, tape.gem_in, 1.0))
+        x_logx = tape.gem_pow * np.log(np.where(tape.gem_in > 0, tape.gem_in, 1.0))
         mean_xlogx = x_logx.mean(axis=1)
         d_p_per = tape.pooled * (-log_m / p**2 + mean_xlogx / (p * safe_mean))
         grads.gem_p[...] = (d_pooled * d_p_per).sum()
@@ -463,7 +487,7 @@ def sgd_step(
     parameter changes. Untrained arrays have zero gradient slots (as
     :func:`backward` leaves them) and no decay, so they stay as they are.
     """
-    if grads.layout != params.layout:
+    if grads.shape != params.shape:
         raise ValueError("gradient layout does not match the parameters")
     g = grads.buffer
     if not np.isfinite(g).all():

@@ -16,11 +16,12 @@ center of any other identity, over both modalities, as negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import counters
-from .data import FeatureSet
+from .data import CellIndex, FeatureSet
 from .kernels import KernelSpec
 # loss_mmd_id is loss_margin_mmd_id at rho = 0; bench/ times it as losses.loss_mmd_id
 from .mmd import LossValue, MarginConfig, loss_margin_mmd_id, loss_mmd_id, loss_mmd_marginal
@@ -77,7 +78,7 @@ def loss_id(logits, labels) -> LossValue:
         raise ValueError(f"label {bad} out of range for {c} classes")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), labels]))
+    loss = float(np.add.reduce(log_z - shifted[np.arange(n), labels]) / n)  # np.mean
     probs = np.exp(shifted - log_z[:, None])
     grad = probs
     grad[np.arange(n), labels] -= 1.0
@@ -85,29 +86,66 @@ def loss_id(logits, labels) -> LossValue:
     return LossValue(loss, grad)
 
 
+def _cell_centers(features: np.ndarray, index: CellIndex) -> np.ndarray:
+    """The centroid of every cell of ``index``, in cell order (identity rank,
+    visible before thermal).
+
+    Each centroid sums its rows in row order, starting from the first. The
+    slots that every cell has are gathered as one (slot, cell) block, never
+    more rows than the set has, and added one slot at a time; the rows of
+    larger cells past those slots follow one slot at a time. (``add.reduce``
+    over the slots may sum pairwise, which changes the bits.)
+    """
+    counts = index.counts
+    if not counts.all():
+        identity, modality = index.first_empty()
+        raise ValueError(f"identity {identity} has no {'thermal' if modality else 'visible'} samples")
+    first, order = index.starts[:-1], index.order
+    width = int(counts.max(initial=0))
+    low = int(counts.min(initial=width))  # 0 only without cells
+    block = features[order[first + np.arange(max(low, 1))[:, None]]]
+    sums = block[0]
+    for rows in block[1:]:
+        sums += rows
+    for j in range(max(low, 1), width):
+        has = np.flatnonzero(counts > j)  # the cells with a row j
+        sums[has] += features[order[first[has] + j]]
+    return sums / counts[:, None]
+
+
 def hetero_centers(batch: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-identity centroids of each modality, over the batch's ``cells``.
 
-    Returns (identities ascending, visible centers, thermal centers). Each
-    centroid sums its rows in row order, starting from the first, which is
-    what numpy's ``mean(axis=0)`` does on two or more feature columns.
+    Returns (identities ascending, visible centers, thermal centers), the
+    centroids that :func:`loss_hc_tri` compares; see :func:`_cell_centers`
+    for how each is summed.
     """
-    index = batch.cells
-    gap = index.first_empty()
-    if gap is not None:
-        raise ValueError(f"identity {gap[0]} has no {'thermal' if gap[1] else 'visible'} samples")
-    first = index.starts[:-1]
-    sums = batch.features[index.order[first]]
-    for j in range(1, int(index.counts.max(initial=0))):
-        has = np.flatnonzero(index.counts > j)  # the cells with a row j
-        sums[has] += batch.features[index.order[first[has] + j]]
-    centers = sums / index.counts[:, None]
-    return index.ids, centers[0::2], centers[1::2]
+    centers = _cell_centers(batch.features, batch.cells)
+    return batch.cells.ids, centers[0::2], centers[1::2]
 
 
 def _directions(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    # unit rows; subgradient choice at coincident centers: zero direction
-    return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0)
+    # unit rows; subgradient choice at coincident centers: zero direction.
+    # A zero distance divides by inf, which gives zeros of either sign; the
+    # sign is lost when the directions are summed into a +0.0 start.
+    return diff / np.where(dist > 0, dist, np.inf)[:, None]
+
+
+@lru_cache(maxsize=8)
+def _anchor_layout(p: int):
+    # per identity count, read-only since every caller shares them: each
+    # anchor's cell (the visible centers, then the thermal ones), its
+    # candidates of another identity, the anchors' row numbers, the first
+    # three cells each anchor updates (its pair, then itself; the fourth is
+    # its hardest negative)
+    anchor_cell = np.concatenate([np.arange(0, 2 * p, 2), np.arange(1, 2 * p, 2)])
+    other = anchor_cell[:, None] // 2 != np.arange(2 * p)[None, :] // 2
+    anchors = np.arange(2 * p)
+    i = anchors % p
+    targets = np.stack([2 * i, 2 * i + 1, anchor_cell, np.zeros_like(i)], axis=1)
+    for array in (anchor_cell, other, anchors, targets):
+        array.flags.writeable = False
+    return anchor_cell, other, anchors, targets
 
 
 def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> LossValue:
@@ -117,44 +155,51 @@ def loss_hc_tri(batch: FeatureSet, cfg: HcTriConfig) -> LossValue:
     minimum are broken by a fixed candidate order (ascending identity, visible
     before thermal), and only the first minimizer receives gradient.
     """
-    ids, cv, ct = hetero_centers(batch)
-    p = len(ids)
+    index = batch.cells
+    centers = _cell_centers(batch.features, index)
+    p = len(index.ids)
     if p < 2:
         raise ValueError(f"hc-tri needs >= 2 identities in the batch, got {p}")
+    anchor_cell, other, anchors, pair_targets = _anchor_layout(p)
 
     # protocol-level cost: P positive distances, 2(P-1) negatives per anchor
-    d_pos = np.linalg.norm(cv - ct, axis=1)
+    pair = centers[0::2] - centers[1::2]
+    d_pos = np.sqrt(np.add.reduce(pair * pair, axis=1))
     counters.center_distances.add(p + 2 * p * 2 * (p - 1))
 
-    # candidates are the centers in cell order, which is the tie-break order,
-    # so argmin lands on the first minimizer; anchors are the visible centers
-    # then the thermal ones
-    cand = np.empty((2 * p, cv.shape[1]))
-    cand[0::2] = cv
-    cand[1::2] = ct
-    anchor_cell = np.concatenate([np.arange(0, 2 * p, 2), np.arange(1, 2 * p, 2)])
-    diff = cand[anchor_cell][:, None, :] - cand[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    d_masked = np.where(anchor_cell[:, None] // 2 != np.arange(2 * p)[None, :] // 2, d, np.inf)
+    # the distance between every two centers, in cell order, squaring the
+    # differences in place; candidates are the centers in cell order, which
+    # is the tie-break order, so argmin lands on the first minimizer; anchors
+    # are the visible centers then the thermal ones
+    sq = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt(np.add.reduce(np.square(sq, out=sq), axis=2))
+    d_masked = np.where(other, dist[anchor_cell], np.inf)
     neg_idx = np.argmin(d_masked, axis=1)
-    d_neg = d_masked[np.arange(2 * p), neg_idx]
+    d_neg = d_masked[anchors, neg_idx]
 
     terms = cfg.margin_rho1 + np.concatenate([d_pos, d_pos]) - d_neg
-    loss = float(terms[terms > 0].sum())
+    active = terms > 0
+    loss = float(terms[active].sum())
 
     # each active anchor pulls its own pair together and pushes its hardest
-    # negative away; the four updates per anchor are applied in anchor order
-    a = np.flatnonzero(terms > 0)
-    i = a % p
-    u = _directions(cv - ct, d_pos)[i]
-    w = _directions(diff[a, neg_idx[a]], d_neg[a])
-    targets = np.stack([2 * i, 2 * i + 1, anchor_cell[a], neg_idx[a]], axis=1)
-    updates = np.stack([u, -u, -w, w], axis=1).reshape(-1, cv.shape[1])
-    grad_cells = np.zeros_like(cand)
-    np.add.at(grad_cells, targets.ravel(), updates)
+    # negative away; the four updates per anchor are summed in anchor order,
+    # each cell's from +0.0 (what np.add.at on zeros does, bit for bit)
+    a = np.flatnonzero(active)
+    targets = pair_targets[a]
+    targets[:, 3] = neg_idx[a]
+    width = centers.shape[1]
+    updates = np.empty((len(a), 4, width))
+    updates[:, 0] = _directions(pair, d_pos)[a % p]
+    np.negative(updates[:, 0], out=updates[:, 1])
+    negative = centers[anchor_cell[a]] - centers[neg_idx[a]]
+    updates[:, 3] = _directions(negative, d_neg[a])
+    np.negative(updates[:, 3], out=updates[:, 2])
+    flat = (targets * width)[:, :, None] + np.arange(width)
+    grad_cells = np.bincount(flat.ravel(), updates.ravel(), minlength=centers.size)
 
     # centers are means, so each member feature receives grad / cell size
-    return LossValue(loss, (grad_cells / batch.cells.counts[:, None])[batch.cells.cell])
+    grad_cells = grad_cells.reshape(centers.shape) / index.counts[:, None]
+    return LossValue(loss, grad_cells[index.cell])
 
 
 def loss_total(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeds
 from .config import ExperimentConfig
-from .data import BatchSampler, DescriptorSet, FeatureSet
+from .data import BatchSampler, DescriptorSet, FeatureSet, _prechecked
 from .encoder import EncoderParams, SgdState, backward, embed, forward, init_params, sgd_step
 from .losses import loss_total
 
@@ -76,6 +76,7 @@ def run_training(
     variant = config["mmd.variant"]
 
     state = SgdState()
+    grads = params.zeros_like()  # every backward writes all of it
     epochs = config["train.epochs"]
     batches = sampler.batches_per_epoch()
 
@@ -88,15 +89,16 @@ def run_training(
         table = np.empty((batches, 6))
         for step in range(batches):
             batch = sampler.next_batch()
-            out = forward(params, batch.descriptors, batch.modalities, train=True)
-            if not np.isfinite(out.pooled).all():
+            tape = forward(params, batch.descriptors, batch.modalities, train=True)
+            if not np.isfinite(tape.pooled).all():
                 raise TrainingDiverged(
                     f"non-finite pooled features at epoch {epoch}", last_good, epoch
                 )
-            feats = FeatureSet(out.pooled, batch.identities, batch.modalities)
+            # the batch's labels are checked and the features were just now
+            feats = _prechecked(FeatureSet, tape.pooled, batch.identities, batch.modalities)
             bundle = loss_total(
                 feats,
-                out.logits,
+                tape.logits,
                 np.searchsorted(classes, batch.identities),
                 kernel_spec=kernel_spec,
                 margin=margin,
@@ -109,16 +111,17 @@ def run_training(
                 raise TrainingDiverged(
                     f"non-finite loss {bundle.total} at epoch {epoch}", last_good, epoch
                 )
-            grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+            backward(tape, bundle.grad_pooled, bundle.grad_logits, out=grads)
             sgd_step(params, grads, state, hyper, epoch)
 
+            mmd2 = bundle.class_mmd2
             table[step] = (
                 bundle.total,
                 bundle.id_term,
                 bundle.margin_mmd_term,
                 bundle.hctri_term,
                 np.nan if bundle.active_classes is None else bundle.active_classes,
-                np.nan if bundle.class_mmd2 is None else bundle.class_mmd2.mean(),
+                np.nan if mmd2 is None else mmd2.sum() / len(mmd2),  # np.mean's bits
             )
         stats.append(EpochStats(epoch, *table.sum(axis=0) / batches, time.perf_counter() - t0))
         last_good = params.copy()

@@ -179,7 +179,7 @@ def test_criterion_2_gradient_suite():
             return bundle, out
 
         bundle, out = total()
-        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         for name, arr in params.items():
             if name.startswith("bn.running") or name == "gem_p":
                 continue

@@ -115,6 +115,34 @@ class TestGenerate:
             assert err.startswith(f"error: {out / 'train.csv'}: line 2: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("files"), "manifest has no 'files' object"),
+        (lambda m: m["files"].update({"train.csv": 17}), "checksum of 'train.csv' is not a string: 17"),
+        (lambda m: m["files"].update({"../outside.csv": "0" * 64}),
+         "manifest file '../outside.csv' is not a plain file name"),
+        (lambda m: m["files"].update({"": "0" * 64}), "manifest file '' is not a plain file name"),
+        ("[]", "manifest is not a JSON object"),
+        ('{"version": 1,', "not a JSON manifest"),
+    ], ids=["no-files", "number-checksum", "parent-path", "empty-name", "list", "not-json"])
+    def test_malformed_manifest_is_one_error_line(self, tmp_path, capsys, command, edit, message):
+        out = cmd_generate(tiny_config(tmp_path / "run"))
+        # a file outside the dataset directory that a path could reach
+        (tmp_path / "run" / "outside.csv").write_text("not hashed\n")
+        path = out / "manifest.json"
+        if isinstance(edit, str):
+            path.write_text(edit)
+        else:
+            manifest = json.loads(path.read_text())
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+        (tmp_path / "run" / "train").mkdir()
+        (tmp_path / "run" / "train" / "checkpoint.bin").write_bytes(b"")
+        assert main([command, "--set", f"output.dir={tmp_path / 'run'}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err, err
+        assert err.count("\n") == 1
+
     def test_negative_learning_rate_is_one_error_line(self, tmp_path, capsys):
         # a negative rate would run gradient ascent; train refuses it before
         # any step and writes no checkpoint

@@ -234,6 +234,25 @@ class TestSampleBatch:
             assert np.array_equal(part.cells.ids, np.unique(part.identities))
             assert np.array_equal(part.cells.cell, cell_index(part.identities, part.modalities).cell)
 
+    def test_select_stores_what_the_constructor_would(self, train):
+        # select skips the checks; its arrays equal the validating
+        # constructor's, for masks and integer indices alike
+        features = FeatureSet(train.descriptors[:, 0], train.identities, train.modalities)
+        mask = train.identities % 3 != 0
+        for labelled, name in ((train, "descriptors"), (features, "features")):
+            for index in (mask, np.flatnonzero(mask)[::-1], [5, 2, 2], np.array([], dtype=int)):
+                got = labelled.select(index)
+                values = getattr(labelled, name)[index]
+                want = type(labelled)(values, labelled.identities[index], labelled.modalities[index])
+                assert type(got) is type(want)
+                for field in (name, "identities", "modalities"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert np.array_equal(got.cells.order, want.cells.order)
+            for index in (3, np.zeros((2, 2), dtype=int)):
+                with pytest.raises(ValueError, match="1-D row index or mask"):
+                    labelled.select(index)
+
     def test_sampler_stream_and_epoch_size(self, train):
         sampler = BatchSampler(train, BatchSpec(p=4, k=4), np.random.default_rng(5))
         assert sampler.batches_per_epoch() == -(-len(train) // 32)

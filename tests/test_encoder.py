@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,8 @@ class TestBackward:
         params = small_params(rng)
         descriptors, modalities, _ = small_batch(rng)
         out = forward(params, descriptors, modalities, train=True)
-        grads = backward(out, np.zeros_like(out.pooled), np.zeros_like(out.logits))
+        grads = backward(out, np.zeros_like(out.pooled), np.zeros_like(out.logits),
+                         params.zeros_like())
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_single_dense_layer_outer_product(self):
@@ -255,7 +257,7 @@ class TestBackward:
         x = np.array([[[1.0, 2.0]], [[0.5, -1.0]]])  # (2 samples, H=1, 2)
         out = forward(params, x, np.array([VISIBLE, VISIBLE]), train=False)
         u = np.array([[1.0, -2.0], [0.5, 1.0]])
-        grads = backward(out, u, np.zeros_like(out.logits))
+        grads = backward(out, u, np.zeros_like(out.logits), params.zeros_like())
         pre = x[:, 0, :] @ w
         d_pre = u * (pre > 0)
         assert np.allclose(grads["specific_visible.0.w"], x[:, 0, :].T @ d_pre, atol=1e-12)
@@ -265,7 +267,7 @@ class TestBackward:
         params = small_params(rng)
         descriptors, modalities, identities = small_batch(rng)
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
-        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         for name, arr in params.items():
             if name.startswith("bn.running") or name == "gem_p":
                 continue
@@ -280,7 +282,7 @@ class TestBackward:
         params = small_params(rng, gem_p=2.5, gem_p_learnable=True)
         descriptors, modalities, identities = small_batch(rng)
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
-        grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        grads = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         fd = fd_gradient(
             lambda: self.total_loss(params, descriptors, modalities, identities)[0].total,
             params.gem_p,
@@ -297,11 +299,12 @@ class TestBackward:
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
         arrays = [out.vis_rows, out.th_rows, *out.specific_visible, *out.specific_thermal,
                   *out.shared, out.gem_in, out.gem_mean, out.pooled, out.bn_ivar,
+                  *([] if out.gem_pow is None else [out.gem_pow]),
                   out.bn_xhat, out.bn_features, out.logits]
         before = [a.copy() for a in arrays]
-        first = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        first = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
-        second = backward(out, bundle.grad_pooled, bundle.grad_logits)
+        second = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         assert first.buffer.tobytes() == second.buffer.tobytes()
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
@@ -311,7 +314,47 @@ class TestBackward:
         descriptors, modalities, _ = small_batch(rng)
         out = forward(params, descriptors, modalities, train=True)
         with pytest.raises(ValueError, match="grad_pooled"):
-            backward(out, np.zeros((2, 2)), np.zeros_like(out.logits))
+            backward(out, np.zeros((2, 2)), np.zeros_like(out.logits), params.zeros_like())
+        other = small_params(rng, num_classes=4).zeros_like()
+        with pytest.raises(ValueError, match="gradient shape"):
+            backward(out, np.zeros_like(out.pooled), np.zeros_like(out.logits), out=other)
+
+    @pytest.mark.parametrize("gem_p, learnable", [(3.0, False), (2.5, True), (1.0, True)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_into_a_used_buffer_bitwise(self, gem_p, learnable, train):
+        # a gradient buffer full of garbage gets the bytes of a fresh one,
+        # and the untrained slots are 0 again
+        rng = np.random.default_rng(13)
+        params = small_params(rng, gem_p=gem_p, gem_p_learnable=learnable)
+        descriptors, modalities, identities = small_batch(rng)
+        bundle, out = self.total_loss(params, descriptors, modalities, identities, train=train)
+        fresh = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
+        used = params.zeros_like()
+        used.buffer[:] = rng.standard_normal(used.buffer.shape)
+        used.buffer[::7] = np.nan
+        assert backward(out, bundle.grad_pooled, bundle.grad_logits, out=used) is used
+        assert used.buffer.tobytes() == fresh.buffer.tobytes()
+        untrained = set(used) - set(params.trainable_names())
+        assert untrained and all(np.all(used[name] == 0.0) for name in untrained)
+
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_tape_keeps_x_to_the_p_only_for_a_learnable_power(self, learnable):
+        # the GeM power's gradient reuses forward's x^p: the same bits as
+        # raising the tape's GeM input again, and the same gradient
+        rng = np.random.default_rng(14)
+        params = small_params(rng, gem_p=2.7, gem_p_learnable=learnable)
+        descriptors, modalities, identities = small_batch(rng)
+        bundle, out = self.total_loss(params, descriptors, modalities, identities)
+        if not learnable:
+            assert out.gem_pow is None
+            return
+        recomputed = _pow(out.gem_in, float(params.gem_p))
+        assert out.gem_pow.tobytes() == recomputed.tobytes()
+        again = replace(out, gem_pow=recomputed)
+        got = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
+        want = backward(again, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
+        assert got.buffer.tobytes() == want.buffer.tobytes()
+        assert got.gem_p != 0.0
 
 
 class TestSgd:
@@ -388,7 +431,7 @@ class TestSgd:
                     margin=MarginConfig(0.1), hctri=HcTriConfig(0.3),
                     weights=LossWeights(),
                 )
-                grads = backward(out, bundle.grad_pooled, bundle.grad_logits)
+                grads = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
                 sgd_step(params, grads, state, hyper, epoch)
             return params
 

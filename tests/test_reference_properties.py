@@ -77,7 +77,9 @@ class TestGenerateMatchesReference:
 
 
 class TestSamplerMatchesReference:
-    @given(ragged_labels(), st.integers(2, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    # cells up to 9 rows and K up to 12, so many cells are smaller than K
+    @given(ragged_labels(max_cell=9), st.integers(2, 7), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
     def test_batches_and_errors(self, labels, p, k, seed):
         identities, modalities = labels
         n = len(identities)
@@ -105,6 +107,48 @@ class TestSamplerMatchesReference:
         dataset = DescriptorSet(np.zeros((3, 1, 1)), np.array([4, 4, 9]), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="identity 9 has no samples of modality 1"):
             sample_batch(dataset, BatchSpec(p=2, k=1), np.random.default_rng(0))
+
+
+def centers_slot_loop(batch):
+    """(visible, thermal) centroids by a loop over slots: every cell's first
+    row, then its row j added for each j while the cell has one."""
+    index = batch.cells
+    first = index.starts[:-1]
+    sums = batch.features[index.order[first]]
+    for j in range(1, int(index.counts.max(initial=0))):
+        has = np.flatnonzero(index.counts > j)
+        sums[has] += batch.features[index.order[first[has] + j]]
+    centers = sums / index.counts[:, None]
+    return centers[0::2], centers[1::2]
+
+
+class TestCentersMatchSlotLoop:
+    @given(ragged_labels(max_ids=5, max_cell=12, allow_empty=False), st.sampled_from([1, 2, 5, 64]),
+           st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+    def test_bitwise(self, labels, dim, zero_share, seed):
+        # ragged cells up to 12 rows, width 1 included, some rows all -0.0
+        identities, modalities = labels
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((len(identities), dim)) * 10.0 ** rng.integers(-3, 4)
+        features[rng.random(len(identities)) < zero_share] = -0.0
+        batch = FeatureSet(features, identities, modalities)
+        for got, want in zip(hetero_centers(batch)[1:], centers_slot_loop(batch)):
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("k", [8, 9, 16])
+    def test_width_one_and_negative_zero(self, k):
+        # a cell of -0.0 rows has a -0.0 center; K >= 8 at width 1 is where
+        # numpy's pairwise add.reduce would part from the loop
+        rng = np.random.default_rng(k)
+        identities = np.repeat([0, 1], 2 * k)
+        modalities = np.tile(np.repeat([0, 1], k), 2)
+        features = rng.standard_normal((4 * k, 1)) * 1e3
+        features[:k] = -0.0
+        batch = FeatureSet(features, identities, modalities)
+        _, cv, ct = hetero_centers(batch)
+        want_v, want_t = centers_slot_loop(batch)
+        assert np.signbit(cv[0, 0]) and cv[0, 0] == 0.0
+        assert np.array_equal(bits(cv), bits(want_v)) and np.array_equal(bits(ct), bits(want_t))
 
 
 @st.composite
