@@ -188,13 +188,23 @@ def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> lis
     """Train + eval once per margin value against one shared dataset.
 
     Without ``data_dir`` the dataset is ``<output.dir>/dataset``, generated
-    there if missing; a given ``data_dir`` must already hold a dataset.
+    there if missing; a given ``data_dir`` must already hold a dataset. Each
+    rho's run directory and ``sweep.csv`` label is ``%g`` of it, so two rhos
+    that print alike (``1.4,1.4`` or ``1.0000001,1.0000002``) are refused.
     """
     rhos = list(rho_values)
     if len(rhos) < 2:
         raise CliError(f"sweep needs at least 2 margin values, got {len(rhos)}")
-    for rho in rhos:
-        MarginConfig(float(rho))  # rejects a bad margin before anything is written
+    runs = {}  # run directory name -> rho, both checked before anything is written
+    for rho in map(float, rhos):
+        MarginConfig(rho)
+        name = f"rho_{rho:g}"
+        if name in runs:
+            raise CliError(
+                f"margin values {runs[name]!r} and {rho!r} both print as {rho:g}: "
+                f"they would share the run directory sweep/{name} and one sweep.csv row label"
+            )
+        runs[name] = rho
     root = Path(config.output_dir)
     if data_dir:
         data_dir = Path(data_dir)
@@ -205,13 +215,13 @@ def cmd_sweep_margin(config: ExperimentConfig, rho_values, data_dir=None) -> lis
             cmd_generate(config)
 
     rows = []
-    for rho in rhos:
+    for name, rho in runs.items():
         sub = ExperimentConfig(dict(config.values))
-        sub.set("mmd.margin_rho", repr(float(rho)))
-        sub.set("output.dir", str(root / "sweep" / f"rho_{rho:g}"))
+        sub.set("mmd.margin_rho", repr(rho))
+        sub.set("output.dir", str(root / "sweep" / name))
         cmd_train(sub, data_dir=data_dir)
         report = cmd_eval(sub, data_dir=data_dir)
-        rows.append((float(rho), report.rank(1), report.map))
+        rows.append((rho, report.rank(1), report.map))
 
     sweep_dir = root / "sweep"
     sweep_dir.mkdir(parents=True, exist_ok=True)

@@ -219,13 +219,15 @@ class Tape:
 
 
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
-    """``x ** p`` for ``x >= 0`` and ``p > 0``, bit for bit, in a new array.
+    """``x ** p`` for ``x >= 0``, bit for bit, in a new array, but 0 wherever
+    ``x`` is 0.
 
     numpy's float64 power is several times slower at 0 than elsewhere, and
     about half of the post-ReLU GeM inputs are exactly 0; they are raised as
     1 and zeroed after (so a ``-0.0`` comes out as ``+0.0``). At ``p == 2``
-    numpy squares, which is fast at 0 too. Wrong for ``p <= 0``, where
-    ``0 ** p`` is not 0.
+    numpy squares, which is fast at 0 too. For ``p > 0`` that is ``x ** p``
+    everywhere. For ``p <= 0``, where ``0 ** p`` is 1 or inf, the 0 is what
+    GeM's backward pass takes for a channel whose mean is 0.
     """
     if p == 2.0:
         return np.square(x)
@@ -399,18 +401,18 @@ def backward(tape: Tape, grad_pooled, grad_logits, out: EncoderParams) -> Encode
 
     # GeM: pooled = mean(x^p)^(1/p) per channel over H descriptors
     p = float(params.gem_p)
-    m_pos = tape.gem_mean > 0
-    safe_mean = np.where(m_pos, tape.gem_mean, 1.0)
-    outer = np.where(m_pos, safe_mean ** (1.0 / p - 1.0), 0.0)
+    # mean^(1/p - 1), taken as 0 where the mean is 0, as _pow gives it
+    outer = _pow(tape.gem_mean, 1.0 / p - 1.0)
     # 0 ** 0 is 1, which _pow does not give
     d_gem_in = _pow(tape.gem_in, p - 1.0) if p > 1.0 else np.ones_like(tape.gem_in)
     d_gem_in *= (d_pooled * outer / h)[:, None, :]
     if tape.gem_pow is None:
         grads.gem_p[...] = 0.0
     else:
-        # log(1) is 0, so the entries at 0 contribute exactly 0
+        safe_mean = np.where(tape.gem_mean > 0, tape.gem_mean, 1.0)
+        # log(0 + 1) is 0, so the entries at 0 contribute exactly 0
         log_m = np.log(safe_mean)
-        x_logx = tape.gem_pow * np.log(np.where(tape.gem_in > 0, tape.gem_in, 1.0))
+        x_logx = tape.gem_pow * np.log(tape.gem_in + (tape.gem_in == 0))
         mean_xlogx = x_logx.mean(axis=1)
         d_p_per = tape.pooled * (-log_m / p**2 + mean_xlogx / (p * safe_mean))
         grads.gem_p[...] = (d_pooled * d_p_per).sum()

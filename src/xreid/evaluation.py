@@ -67,29 +67,48 @@ def cmc_map(similarities: np.ndarray, query_ids, gallery_ids) -> tuple[np.ndarra
     """Per-query CMC curves (averaged) and AP values from a score matrix.
 
     Ties go to the lower gallery index. Handles galleries with multiple
-    relevant items per query.
+    relevant items per query, in any order and with repeated identities.
+
+    Each relevant item is ranked by counting, so no rank order or hit
+    matrix is built. With one relevant item per query the scores are read
+    in place and, beyond O(n_q) index arrays, the working memory is one
+    n_q x n_g boolean at a time (an eighth of a float64 score matrix).
+    Rows with several relevant items are copied, one row per item, and rows
+    holding a tie with the relevant item's score are copied for the
+    tie-break.
     """
     similarities = np.asarray(similarities, dtype=np.float64)
     query_ids = np.asarray(query_ids)
     gallery_ids = np.asarray(gallery_ids)
     n_q, n_g = similarities.shape
 
-    q, g = np.divmod(np.flatnonzero(gallery_ids[None, :] == query_ids[:, None]), n_g)
-    n_hits = np.bincount(q, minlength=n_q)
+    # relevant pairs (q, g) in (query, gallery index) order, from the gallery
+    # ids' stable sort rather than an n_q x n_g id comparison
+    by_id = np.argsort(gallery_ids, kind="stable")
+    sorted_ids = gallery_ids[by_id]
+    lo = np.searchsorted(sorted_ids, query_ids, side="left")
+    n_hits = np.searchsorted(sorted_ids, query_ids, side="right") - lo
     if not n_hits.all():
         raise ValueError(f"query identity {query_ids[np.argmin(n_hits)]} absent from gallery")
-    # gallery items ranked ahead of each relevant item (q, g): a higher
-    # score, or an equal one at a lower gallery index. With one relevant
-    # item per query, q is arange(n_q) and the rows are the matrix itself.
+    first = np.cumsum(n_hits) - n_hits  # each query's first pair
+    q = np.repeat(np.arange(n_q), n_hits)
+    j = np.arange(len(q)) - first[q]    # 0-based hit number within its query
+    g = by_id[lo[q] + j]
+
+    # 0-based rank of each relevant item (q, g): the gallery items scoring
+    # higher, plus those scoring equal at a lower gallery index. With one
+    # relevant item per query, q is arange(n_q) and the rows are the matrix.
     rows = similarities if len(q) == n_q else similarities[q]
     score = similarities[q, g][:, None]
-    ahead = (rows > score) | ((rows == score) & (np.arange(n_g) < g[:, None]))
-    # hits[q, r]: a relevant item at 0-based rank r; flat order is rank order
-    hits = np.zeros((n_q, n_g), dtype=bool)
-    hits[q, np.count_nonzero(ahead, axis=1)] = True
-    q, rank = np.divmod(np.flatnonzero(hits), n_g)
-    first = np.cumsum(n_hits) - n_hits  # each query's top-ranked hit
-    j = np.arange(len(q)) - first[q]    # 0-based hit number within its query
+    rank = np.count_nonzero(rows > score, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(rows == score, axis=1) > 1)
+    rank[tied] += np.count_nonzero(
+        (rows[tied] == score[tied]) & (np.arange(n_g) < g[tied, None]), axis=1
+    )
+    # a query's hits in rank order; q keeps its blocks, so j still numbers them
+    key = q * n_g + rank
+    key.sort()
+    rank = key - q * n_g
 
     cmc = np.cumsum(np.bincount(rank[first], minlength=n_g)) / n_q
     # zero-padded rows, so a sequential cumsum adds each query's precisions
@@ -110,7 +129,10 @@ def evaluate(
     """Single-shot multi-trial cross-modal retrieval evaluation.
 
     Each trial's gallery draw comes from ``rng``, the only source of
-    randomness.
+    randomness. A trial's n_q x n_g score matrix is freed before the next
+    trial's is built, so it is the largest array ``evaluate`` holds: the
+    working memory peaks at about one score matrix plus the normalized query
+    features (n_q x D) while scoring, or one n_q x n_g boolean while ranking.
     """
     q_mods = np.unique(query.modalities)
     g_mods = np.unique(gallery.modalities)
@@ -132,8 +154,12 @@ def evaluate(
     per_trial_map = np.empty(trials)
     for t in range(trials):
         chosen = index.order[first + rng.integers(counts)]
-        sims = similarity_matrix(query.features, gallery.features[chosen], ranking)
-        cmc, ap = cmc_map(sims, query.identities, index.ids)
+        # the scores live only for their cmc_map call
+        cmc, ap = cmc_map(
+            similarity_matrix(query.features, gallery.features[chosen], ranking),
+            query.identities,
+            index.ids,
+        )
         per_trial_cmc[t] = cmc
         per_trial_map[t] = ap.mean()
 

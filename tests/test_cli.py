@@ -328,6 +328,25 @@ class TestSweep:
         assert capsys.readouterr().err == "error: expected a finite number, got 'nan'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rhos, first, second, label", [
+        ("1.4,1.4", "1.4", "1.4", "1.4"),
+        ("1.0000001,1.0000002", "1.0000001", "1.0000002", "1"),
+        ("0.5,1,1.0", "1.0", "1.0", "1"),
+    ])
+    def test_rhos_printing_alike_fail_before_writing(self, tmp_path, capsys,
+                                                      rhos, first, second, label):
+        # each rho's run directory and sweep.csv label is its %g: two rhos
+        # that print alike would overwrite one run with the other
+        out = tmp_path / "out"
+        code = main(["sweep-margin", f"--rhos={rhos}", "--set", f"output.dir={out}",
+                     "--set", "data.num_identities=10", "--set", "train.epochs=1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: margin values {first} and {second} both print as {label}: they would "
+            f"share the run directory sweep/rho_{label} and one sweep.csv row label\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_sweep_table(self, tmp_path):
         cfg = tiny_config(tmp_path, **{"train.epochs": 1, "eval.trials": 2})

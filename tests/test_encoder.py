@@ -124,6 +124,20 @@ class TestZeroSafePower:
             got, want = _pow(x, p), x**p
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    @given(gem_inputs(), st.one_of(st.sampled_from([1.0, 1.5, 2.9958, 3.0, 4.0]),
+                                   st.floats(1.0, 64.0)))
+    def test_gem_backward_forms_bitwise(self, x, p):
+        # backward's mean ** (1/p - 1) with 0 at a zero mean, and its log
+        # with each 0 read as 1, against their np.where forms
+        x[::7] = 0.0
+        positive = x > 0
+        with np.errstate(over="ignore"):  # tiny values go to inf either way
+            got = _pow(x, 1.0 / p - 1.0)
+            want = np.where(positive, np.where(positive, x, 1.0) ** (1.0 / p - 1.0), 0.0)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        got, want = np.log(x + (x == 0)), np.log(np.where(positive, x, 1.0))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_leaves_its_input_alone(self):
         x = np.array([0.0, 2.0, 0.0, 3.0])
         _pow(x, 3.0)
