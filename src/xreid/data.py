@@ -254,9 +254,6 @@ class CellIndex:
     order: np.ndarray   # (N,) row indices sorted by cell, stable
     starts: np.ndarray  # (2P + 1,) offsets of each cell into ``order``
 
-    def rows(self, c: int) -> np.ndarray:
-        return self.order[self.starts[c]:self.starts[c + 1]]
-
     def first_empty(self) -> tuple[int, int] | None:
         """(identity, modality) of the first empty cell, in cell order, or None."""
         if self.counts.all():
@@ -289,8 +286,9 @@ def sample_batch(dataset: DescriptorSet, spec: BatchSpec, rng: np.random.Generat
     of the dataset's ``cells``.
 
     The draws are those of ``rng.choice(cells.ids, P, replace=False)`` and,
-    per cell, ``rng.choice(cells.rows(c), K, replace=count < K)``: each call
-    is made with the pool's size, which draws the same positions, and the
+    per cell ``c``, ``rng.choice(pool, K, replace=count < K)`` over its rows
+    ``pool = cells.order[cells.starts[c]:cells.starts[c + 1]]``: each call is
+    made with the pool's size, which draws the same positions, and the
     positions then index the pool.
     """
     index = dataset.cells

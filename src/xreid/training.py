@@ -139,16 +139,22 @@ def encode_dataset(
     params: EncoderParams,
     dataset: DescriptorSet,
     features: str = "pooled",
-    chunk: int = 512,
+    chunk_rows: int = 256,
 ) -> FeatureSet:
     """Eval-mode features of a whole dataset, in chunks.
 
-    Each chunk's features (see :func:`~xreid.encoder.embed`) are written into
-    one preallocated (N, D) array, so only one chunk's activations are alive
-    at a time.
+    A chunk holds ``chunk_rows // H`` samples (at least one) of the split's H
+    descriptor rows each: 64 samples at the default H = 4, whose activations
+    take about 128 KB per 64-wide layer. Each chunk's features (see
+    :func:`~xreid.encoder.embed`) are written into one preallocated (N, D)
+    array, so only one chunk's activations are alive at a time. The pass
+    works row by row, so the features do not depend on the chunk size.
     """
     if features not in ("pooled", "bn"):
         raise ValueError(f"features must be 'pooled' or 'bn', got {features!r}")
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be a positive row count, got {chunk_rows}")
+    chunk = max(1, chunk_rows // dataset.descriptors.shape[1])
     out = np.empty((len(dataset), params.shape.embedding_dim))
     for start in range(0, len(dataset), chunk):
         sl = slice(start, start + chunk)

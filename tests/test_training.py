@@ -162,9 +162,49 @@ def test_encode_dataset_keeps_one_chunk_alive():
     _, one_chunk = _traced_peak(
         lambda: embed(params, test.descriptors[:chunk], test.modalities[:chunk])
     )
-    feats, peak = _traced_peak(lambda: encode_dataset(params, test, chunk=chunk))
+    h = test.descriptors.shape[1]
+    feats, peak = _traced_peak(lambda: encode_dataset(params, test, chunk_rows=chunk * h))
     assert len(test) == 4 * 2 * 60
     assert peak <= feats.features.nbytes + 1.1 * one_chunk
+
+
+def _default_split_and_params():
+    # the default config's 400-sample test split and untrained encoder
+    cfg = ExperimentConfig.defaults()
+    train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    shape = cfg.encoder_shape(len(np.unique(train.identities)))
+    return test, init_params(shape, np.random.default_rng(0))
+
+
+def test_encode_dataset_default_chunk_stays_small():
+    # a chunk is 256 descriptor rows (64 samples at H = 4), so one 64-wide
+    # layer's activations take 128 KB; the whole split's 1,600 rows in one
+    # chunk would hold about 23 such layers at once
+    test, params = _default_split_and_params()
+    assert test.descriptors.shape[:2] == (400, 4)
+    one_layer = 256 * max(params.shape.specific_widths + params.shape.shared_widths) * 8
+    for features in ("pooled", "bn"):
+        feats, peak = _traced_peak(lambda: encode_dataset(params, test, features=features))
+        assert peak < feats.features.nbytes + 6 * one_layer
+
+
+def test_encode_dataset_bitwise_for_any_chunk():
+    # embeddings.csv's bytes rest on every chunking giving the same bits
+    test, params = _default_split_and_params()
+    h = test.descriptors.shape[1]
+    for features in ("pooled", "bn"):
+        want = embed(params, test.descriptors, test.modalities, features == "bn")
+        # 1 sample (1 and 7 rows), 7 samples, the default and the whole split
+        for rows in (1, 7, 7 * h, 256, len(test) * h):
+            got = encode_dataset(params, test, features=features, chunk_rows=rows)
+            assert np.array_equal(got.features, want), (features, rows)
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_encode_dataset_rejects_non_positive_chunk(rows):
+    test, params = _default_split_and_params()
+    with pytest.raises(ValueError, match="chunk_rows must be a positive row count"):
+        encode_dataset(params, test, chunk_rows=rows)
 
 
 @pytest.mark.slow
@@ -172,9 +212,9 @@ def test_encode_dataset_matches_forward_chunking():
     cfg = small_config()
     train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
     params, _ = run_training(cfg, train)
-    whole = encode_dataset(params, test, chunk=10_000)
-    chunked = encode_dataset(params, test, chunk=7)
-    assert np.allclose(whole.features, chunked.features, atol=1e-12)
+    whole = encode_dataset(params, test, chunk_rows=10_000)
+    chunked = encode_dataset(params, test, chunk_rows=7)
+    assert np.array_equal(whole.features, chunked.features)
     bn = encode_dataset(params, test, features="bn")
     assert bn.features.shape == whole.features.shape
     assert not np.allclose(bn.features, whole.features)
