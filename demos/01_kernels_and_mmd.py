@@ -23,7 +23,8 @@ from xreid.kernels import mixture_kernel_matrix, resolve_bandwidth, squared_dist
 def kernel(xs, ys, spec):
     """Kernel matrix between rows under a fixed-bandwidth spec."""
     xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
-    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(spec.sigma_squared))
+    k, _ = mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(spec.sigma_squared))
+    return k
 
 
 print("== RBF kernel ==")

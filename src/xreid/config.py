@@ -4,7 +4,14 @@ One flat schema covers every module knob; unknown keys are hard errors so a
 typo can never silently fall back to a default. A config object serializes
 back to the same format with every key resolved, and parsing that resolved
 text reproduces the object exactly, which is what makes re-runs bit-for-bit
-reproducible.
+reproducible. A value that text cannot carry, one holding a ``#`` or a line
+break, is refused when it is set.
+
+A key ``<section>.<field>`` sets that field of its section's settings object
+(``data`` -> :class:`SyntheticSpec`, ``optim`` -> :class:`SgdHyper`, ...).
+The fields a section does not hold are given by the view that builds it:
+``descriptor_dim`` and ``num_classes`` of the encoder, ``total_epochs`` of
+the schedule (``train.epochs``) and the margin's ``rho`` (``mmd.margin_rho``).
 """
 
 from __future__ import annotations
@@ -146,6 +153,9 @@ class ExperimentConfig:
     def set(self, key: str, value: str, where: str = "override") -> None:
         if key not in SCHEMA:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        if "#" in value or value.splitlines() not in ([], [value]):
+            # to_text could not write it back: '#' starts a comment, a line break a new line
+            raise ConfigError(f"{where}: value for {key!r} holds a '#' or a line break: {value!r}")
         parser, _ = SCHEMA[key]
         try:
             self.values[key] = parser(value)
@@ -173,62 +183,39 @@ class ExperimentConfig:
     def output_dir(self) -> str:
         return self.values["output.dir"]
 
+    def _section(self, cls, section: str, **given):
+        """``cls`` built from every ``<section>.<field>`` key, plus ``given``."""
+        prefix = section + "."
+        fields = {key[len(prefix):]: self.values[key] for key in SCHEMA if key.startswith(prefix)}
+        return cls(**fields, **given)
+
     def synthetic_spec(self) -> SyntheticSpec:
-        v = self.values
-        return SyntheticSpec(
-            num_identities=v["data.num_identities"],
-            samples_per_identity_per_modality=v["data.samples_per_identity"],
-            descriptor_count=v["data.descriptor_count"],
-            descriptor_dim=v["data.descriptor_dim"],
-            identity_spread=v["data.identity_spread"],
-            within_noise=v["data.within_noise"],
-            thermal_noise_scale=v["data.thermal_noise_scale"],
-            modality_shift=v["data.modality_shift"],
-            per_identity_shift_rotation=v["data.per_identity_shift_rotation"],
-        )
+        return self._section(SyntheticSpec, "data")
 
     def batch_spec(self) -> BatchSpec:
-        return BatchSpec(p=self.values["batch.p"], k=self.values["batch.k"])
+        return self._section(BatchSpec, "batch")
 
     def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(
-            sigma_squared=self.values["kernel.sigma_squared"],
-            mixture_scales=self.values["kernel.mixture_scales"],
-        )
+        return self._section(KernelSpec, "kernel")
 
     def margin(self) -> MarginConfig:
+        # mmd.* also holds the estimator and the variant, which are not margin fields
         return MarginConfig(rho=self.values["mmd.margin_rho"])
 
     def hctri(self) -> HcTriConfig:
-        return HcTriConfig(margin_rho1=self.values["hctri.margin_rho1"])
+        return self._section(HcTriConfig, "hctri")
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_id=self.values["loss.lambda_id"],
-            lambda_margin_mmd=self.values["loss.lambda_margin_mmd"],
-            lambda_hctri=self.values["loss.lambda_hctri"],
-        )
+        return self._section(LossWeights, "loss")
 
     def encoder_shape(self, num_classes: int) -> EncoderShape:
-        v = self.values
-        return EncoderShape(
-            descriptor_dim=v["data.descriptor_dim"],
-            num_classes=num_classes,
-            specific_widths=v["encoder.specific_widths"],
-            shared_widths=v["encoder.shared_widths"],
-            gem_p=v["encoder.gem_p"],
-            gem_p_learnable=v["encoder.gem_p_learnable"],
+        return self._section(
+            EncoderShape, "encoder",
+            descriptor_dim=self.values["data.descriptor_dim"], num_classes=num_classes,
         )
 
     def sgd_hyper(self) -> SgdHyper:
-        v = self.values
-        return SgdHyper(
-            base_lr=v["optim.base_lr"],
-            momentum=v["optim.momentum"],
-            weight_decay=v["optim.weight_decay"],
-            warmup_epochs=v["optim.warmup_epochs"],
-            total_epochs=v["train.epochs"],
-        )
+        return self._section(SgdHyper, "optim", total_epochs=self.values["train.epochs"])
 
 
 __all__ = ["SCHEMA", "ConfigError", "ExperimentConfig"]

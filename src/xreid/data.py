@@ -144,7 +144,7 @@ class SyntheticSpec:
     """
 
     num_identities: int = 50
-    samples_per_identity_per_modality: int = 20
+    samples_per_identity: int = 20  # per modality, so 2x this many rows per identity
     descriptor_count: int = 4   # H
     descriptor_dim: int = 8     # D_in
     identity_spread: float = 1.0
@@ -155,7 +155,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         # each check is written as `not x > 0` / `not x >= 0`, so NaN fails it
-        if not (self.num_identities >= 1 and self.samples_per_identity_per_modality >= 1):
+        if not (self.num_identities >= 1 and self.samples_per_identity >= 1):
             raise ValueError("counts must be >= 1")
         if not (self.descriptor_count >= 1 and self.descriptor_dim >= 1):
             raise ValueError("descriptor shape must be >= 1")
@@ -203,7 +203,7 @@ def generate(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[DescriptorS
 
     n_id = spec.num_identities
     h, d = spec.descriptor_count, spec.descriptor_dim
-    k = spec.samples_per_identity_per_modality
+    k = spec.samples_per_identity
 
     centers = spec.identity_spread * rng.standard_normal((n_id, d))
 

@@ -434,8 +434,8 @@ class SgdHyper:
     base_lr: float
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    warmup_epochs: int = 2
-    total_epochs: int = 20
+    warmup_epochs: int = 3
+    total_epochs: int = 60
 
     def __post_init__(self):
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
@@ -539,15 +539,14 @@ def save_checkpoint(params: EncoderParams, path) -> None:
         fh.write(params.buffer.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> EncoderParams:
+def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises ``ValueError`` on a first line that is not JSON, on a header that
     is not a JSON object holding a ``shape`` of :class:`EncoderShape` fields
     and an ``arrays`` table of ``{name, shape}`` entries, on magic/version
     mismatch, on an array table that does not match the declared
-    architecture, on a truncated file or bytes after the last blob, and on
-    any shape disagreement with ``expected_shape`` when one is given.
+    architecture, and on a truncated file or bytes after the last blob.
     """
     with open(path, "rb") as fh:
         try:
@@ -567,10 +566,6 @@ def load_checkpoint(path, expected_shape: EncoderShape | None = None) -> Encoder
         except (KeyError, TypeError, ValueError) as exc:
             why = f"no {exc} entry" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: malformed checkpoint header: {why}") from None
-        if expected_shape is not None and shape != expected_shape:
-            raise ValueError(
-                f"{path}: checkpoint shape {shape} does not match expected {expected_shape}"
-            )
         if table != params.layout:
             raise ValueError(f"{path}: array table does not match the declared architecture")
         blob = fh.read(params.buffer.nbytes)

@@ -26,6 +26,13 @@ from .losses import hetero_centers
 RANK_COLUMNS = (1, 5, 10, 20)
 
 
+def _at_rank(cmc: np.ndarray, k: int):
+    """Rank-k accuracy from a CMC curve, saturating at the gallery size."""
+    if k < 1:
+        raise ValueError(f"rank k must be >= 1, got {k}")
+    return cmc[min(k, len(cmc)) - 1]
+
+
 @dataclass(frozen=True)
 class EvalReport:
     cmc: np.ndarray           # (K_max,) rank-k accuracies averaged over trials
@@ -35,8 +42,8 @@ class EvalReport:
     per_trial_map: np.ndarray  # (trials,)
 
     def rank(self, k: int) -> float:
-        """Rank-k accuracy, saturating at the gallery size."""
-        return float(self.cmc[min(k, len(self.cmc)) - 1])
+        """Rank-k accuracy for k >= 1, saturating at the gallery size."""
+        return float(_at_rank(self.cmc, k))
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ def write_report(path, report: EvalReport, stats: SimilarityStats | None = None)
     """Write the delimited evaluation report (6 decimal places throughout)."""
 
     def row(label, cmc, map_value):
-        ranks = ",".join(f"{cmc[min(k, len(cmc)) - 1]:.6f}" for k in RANK_COLUMNS)
+        ranks = ",".join(f"{_at_rank(cmc, k):.6f}" for k in RANK_COLUMNS)
         return f"{label},{ranks},{map_value:.6f}\n"
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,8 +12,8 @@ the three primitives the MMD engine calls in turn:
 * ``resolve_bandwidth``: each block's base bandwidth, fixed or by the median
   heuristic (median of the block's distinct pairwise squared distances);
 * ``mixture_kernel_matrix``: the kernel mixture over those distances, and
-  optionally the weight matrix A of the analytic feature gradient from the
-  same evaluation. It runs one scale at a time, adding each scale's kernel
+  the weight matrix A of the analytic feature gradient from the same
+  evaluation. It runs one scale at a time, adding each scale's kernel
   (and gradient weight) into K (and A) in scale order, so only one scale's
   values exist at once.
 
@@ -104,13 +104,13 @@ def resolve_bandwidth(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     return np.where(med > 0, med, 1.0)
 
 
-def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False):
+def mixture_kernel_matrix(d2: np.ndarray, bandwidths) -> tuple[np.ndarray, np.ndarray]:
     """Uniform mixture of RBF kernels over precomputed squared distances.
 
     ``bandwidths`` holds sigma_s^2 on its last axis: shape (S,) for one
-    matrix, (C, S) for a (C, N, M) stack. With ``grad_weights`` the result
-    is ``(K, A)``, where A = (1/S) sum_s K_s / sigma_s^2 is the weight of the
-    analytic gradient d k(x, y) / dx = A (y - x).
+    matrix, (C, S) for a (C, N, M) stack. The result is ``(K, A)``, where
+    A = (1/S) sum_s K_s / sigma_s^2 is the weight of the analytic gradient
+    d k(x, y) / dx = A (y - x).
     """
     s2 = np.asarray(bandwidths, dtype=np.float64)[..., None, None]
     scales = s2.shape[-3]
@@ -124,12 +124,9 @@ def mixture_kernel_matrix(d2: np.ndarray, bandwidths, grad_weights: bool = False
         scaled = np.divide(half, s2_s, out=scaled)
         np.exp(scaled, out=scaled)
         k += scaled
-        if grad_weights:
-            scaled /= s2_s
-            a += scaled
+        scaled /= s2_s
+        a += scaled
     k /= scales
-    if not grad_weights:
-        return k
     a /= scales
     return k, a
 

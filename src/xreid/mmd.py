@@ -107,8 +107,8 @@ def _engine(x, index: CellIndex, spec: KernelSpec, estimator: str, rho=None, own
     # the visible slots' rows hold the xx and xy sub-blocks, so the kernel
     # is never evaluated on the redundant yx sub-block. The gradient weights
     # A are named w* because they are scaled into W∘A in place below.
-    k_top, w_top = mixture_kernel_matrix(d2[:, :s], bw, grad_weights=True)
-    kyy, wyy = mixture_kernel_matrix(d2[:, s:, s:], bw, grad_weights=True)
+    k_top, w_top = mixture_kernel_matrix(d2[:, :s], bw)
+    kyy, wyy = mixture_kernel_matrix(d2[:, s:, s:], bw)
     kxx, kxy, wxx, wxy = k_top[..., :s], k_top[..., s:], w_top[..., :s], w_top[..., s:]
     same_x = np.add.reduce(kxx, axis=(1, 2)) / pairs_x
     same_y = np.add.reduce(kyy, axis=(1, 2)) / pairs_y

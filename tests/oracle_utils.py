@@ -172,7 +172,7 @@ def generate_reference(spec, rng):
     identities as a set."""
     n_id = spec.num_identities
     h, d = spec.descriptor_count, spec.descriptor_dim
-    k = spec.samples_per_identity_per_modality
+    k = spec.samples_per_identity
 
     centers = spec.identity_spread * rng.standard_normal((n_id, d))
     if spec.per_identity_shift_rotation:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from xreid.cli import (
     main,
 )
 from xreid.config import ExperimentConfig
-from xreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from xreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, init_params, save_checkpoint
 
 
 def tiny_config(out_dir, **overrides):
@@ -184,6 +185,21 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {checkpoint}: malformed checkpoint header: ")
         assert message in err and err.count("\n") == 1
+
+    def test_checkpoint_architecture_mismatch_is_one_error_line(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        cmd_generate(cfg)
+        # an untrained checkpoint whose shared stack is narrower than the config's
+        shape = replace(cfg.encoder_shape(num_classes=8), shared_widths=(12, 10))
+        checkpoint = tmp_path / "other.bin"
+        save_checkpoint(init_params(shape, np.random.default_rng(0)), checkpoint)
+        cfg.write(tmp_path / "tiny.conf")
+        assert main(["eval", "--config", str(tmp_path / "tiny.conf"), "--checkpoint", str(checkpoint)]) == 1
+        expected = cfg.encoder_shape(num_classes=8)
+        assert capsys.readouterr().err == (
+            f"error: checkpoint architecture {shape} does not match config {expected}\n"
+        )
+        assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.slow

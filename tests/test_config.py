@@ -1,9 +1,15 @@
+from dataclasses import MISSING, fields, replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from xreid.config import ConfigError, ExperimentConfig, SCHEMA
-from xreid.losses import MMD_VARIANTS
+from xreid.data import BatchSpec, SyntheticSpec
+from xreid.encoder import EncoderShape, SgdHyper
+from xreid.kernels import KernelSpec
+from xreid.losses import MMD_VARIANTS, HcTriConfig, LossWeights
+from xreid.mmd import MarginConfig
 
 CHOICES = {
     "mmd.estimator": ("biased", "unbiased"),
@@ -92,6 +98,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("encoder.gem_p_learnable = yes\n")
 
+    @pytest.mark.parametrize("value", ["runs/a#b", "runs/a\nb", "runs/a\r\nb", "runs/a\n", "#"])
+    def test_value_text_cannot_carry_is_refused(self, value):
+        # written back, '#' would start a comment and a line break a new line
+        cfg = ExperimentConfig.defaults()
+        with pytest.raises(ConfigError, match="--set: value for 'output.dir' holds a '#' or a line break"):
+            cfg.set("output.dir", value, where="--set")
+        assert cfg.output_dir == "runs/default"
+
 
 class TestTypedViews:
     def test_module_objects_from_defaults(self):
@@ -114,3 +128,71 @@ class TestTypedViews:
         assert cfg.batch_spec().p == 8
         with pytest.raises(ConfigError, match="unknown"):
             cfg.set("batch.q", "8")
+
+
+def encoder_view(cfg):
+    return cfg.encoder_shape(num_classes=3)
+
+
+SECTIONS = {
+    "data": (SyntheticSpec, ExperimentConfig.synthetic_spec),
+    "batch": (BatchSpec, ExperimentConfig.batch_spec),
+    "kernel": (KernelSpec, ExperimentConfig.kernel_spec),
+    "hctri": (HcTriConfig, ExperimentConfig.hctri),
+    "loss": (LossWeights, ExperimentConfig.loss_weights),
+    "encoder": (EncoderShape, encoder_view),
+    "optim": (SgdHyper, ExperimentConfig.sgd_hyper),
+}
+# (key, settings class, field, view): every section key, then the fields a
+# view takes from outside its section
+FIELDS = [
+    pytest.param(key, cls, key.split(".", 1)[1], view, id=f"{key}->{cls.__name__}")
+    for key in SCHEMA
+    for section, (cls, view) in SECTIONS.items()
+    if key.startswith(section + ".")
+] + [
+    pytest.param(key, cls, field, view, id=f"{key}->{cls.__name__}")
+    for key, cls, field, view in (
+        ("data.descriptor_dim", EncoderShape, "descriptor_dim", encoder_view),
+        ("train.epochs", SgdHyper, "total_epochs", ExperimentConfig.sgd_hyper),
+        ("mmd.margin_rho", MarginConfig, "rho", ExperimentConfig.margin),
+    )
+]
+# the experiment's kernel mixture is narrower than the library's (see SCHEMA)
+DEFAULTS_APART = {"kernel.mixture_scales"}
+
+
+def other_value(default):
+    """A valid value of ``default``'s type that differs from it."""
+    if isinstance(default, bool):
+        return not default
+    if default is None:
+        return 2.0
+    if isinstance(default, tuple):
+        return tuple(v * 2 for v in default)
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+def field_default(cls, name):
+    """The default of field ``name`` of ``cls``; None when there is no such field."""
+    return {f.name: f.default for f in fields(cls)}.get(name)
+
+
+class TestSections:
+    @pytest.mark.parametrize("key, cls, field, view", FIELDS)
+    def test_key_reaches_its_field(self, key, cls, field, view):
+        cfg = ExperimentConfig.defaults()
+        value = other_value(SCHEMA[key][1])
+        cfg.values[key] = value
+        built = view(cfg)
+        assert isinstance(built, cls)
+        assert built == replace(view(ExperimentConfig.defaults()), **{field: value})
+
+    @pytest.mark.parametrize("key, cls, field", [
+        pytest.param(*p.values[:3], id=p.id) for p in FIELDS if field_default(*p.values[1:3]) is not MISSING
+    ])
+    def test_field_default_is_schema_default(self, key, cls, field):
+        if key in DEFAULTS_APART:
+            assert field_default(cls, field) != SCHEMA[key][1]
+        else:
+            assert field_default(cls, field) == SCHEMA[key][1]

@@ -66,7 +66,7 @@ class TestFeatureSet:
 
 class TestGenerate:
     def test_split_sizes_and_disjoint(self):
-        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=5)
+        spec = SyntheticSpec(num_identities=50, samples_per_identity=5)
         train, test = generate(spec, np.random.default_rng(3))
         assert len(np.unique(train.identities)) == 40
         assert len(np.unique(test.identities)) == 10
@@ -76,13 +76,13 @@ class TestGenerate:
 
     def test_disjoint_split_across_seeds(self):
         for seed in range(20):
-            spec = SyntheticSpec(num_identities=15, samples_per_identity_per_modality=1)
+            spec = SyntheticSpec(num_identities=15, samples_per_identity=1)
             train, test = generate(spec, np.random.default_rng(seed))
             assert not set(train.identities.tolist()) & set(test.identities.tolist())
             assert len(np.unique(test.identities)) >= 1
 
     def test_deterministic_from_seed(self):
-        spec = SyntheticSpec(num_identities=8, samples_per_identity_per_modality=3)
+        spec = SyntheticSpec(num_identities=8, samples_per_identity=3)
         a_train, a_test = generate(spec, np.random.default_rng(11))
         b_train, b_test = generate(spec, np.random.default_rng(11))
         assert np.array_equal(a_train.descriptors, b_train.descriptors)
@@ -93,7 +93,7 @@ class TestGenerate:
     def test_degenerate_alignment(self):
         spec = SyntheticSpec(
             num_identities=5,
-            samples_per_identity_per_modality=2,
+            samples_per_identity=2,
             within_noise=1e-12,
             modality_shift=0.0,
         )
@@ -105,7 +105,7 @@ class TestGenerate:
     def test_huge_shift_gives_chance_level_retrieval(self):
         spec = SyntheticSpec(
             num_identities=50,
-            samples_per_identity_per_modality=20,
+            samples_per_identity=20,
             identity_spread=1.0,
             within_noise=0.05,
             modality_shift=50.0,
@@ -131,7 +131,7 @@ class TestGenerate:
             SyntheticSpec(modality_shift=-1.0)
 
     @pytest.mark.parametrize("field", [
-        "num_identities", "samples_per_identity_per_modality", "descriptor_count",
+        "num_identities", "samples_per_identity", "descriptor_count",
         "descriptor_dim", "identity_spread", "within_noise", "thermal_noise_scale",
         "modality_shift",
     ])
@@ -144,7 +144,7 @@ class TestGenerate:
 class TestSampleBatch:
     @pytest.fixture()
     def train(self):
-        spec = SyntheticSpec(num_identities=20, samples_per_identity_per_modality=6)
+        spec = SyntheticSpec(num_identities=20, samples_per_identity=6)
         return generate(spec, np.random.default_rng(5))[0]
 
     def test_structure(self, train):
@@ -178,7 +178,7 @@ class TestSampleBatch:
             assert batch.modalities[rows].tolist() == [VISIBLE, VISIBLE, THERMAL, THERMAL]
 
     def test_replacement_when_cell_small(self):
-        spec = SyntheticSpec(num_identities=6, samples_per_identity_per_modality=2)
+        spec = SyntheticSpec(num_identities=6, samples_per_identity=2)
         train, _ = generate(spec, np.random.default_rng(7))
         rng = np.random.default_rng(3)
         batch = sample_batch(train, BatchSpec(p=2, k=5), rng)
@@ -263,7 +263,7 @@ class TestSampleBatch:
 
 class TestDumpLoad:
     def test_round_trip_lossless(self, tmp_path):
-        spec = SyntheticSpec(num_identities=5, samples_per_identity_per_modality=2)
+        spec = SyntheticSpec(num_identities=5, samples_per_identity=2)
         train, _ = generate(spec, np.random.default_rng(9))
         path = tmp_path / "train.csv"
         dump(train, path)
@@ -273,7 +273,7 @@ class TestDumpLoad:
         assert np.array_equal(loaded.modalities, train.modalities)
 
     def test_header_declares_shape_and_version(self, tmp_path):
-        spec = SyntheticSpec(num_identities=4, samples_per_identity_per_modality=1,
+        spec = SyntheticSpec(num_identities=4, samples_per_identity=1,
                              descriptor_count=3, descriptor_dim=5)
         train, _ = generate(spec, np.random.default_rng(0))
         path = tmp_path / "d.csv"
@@ -379,7 +379,7 @@ class TestDumpLoad:
     def test_load_peak_memory_bounded(self, tmp_path):
         # one structured parse plus one copy of the descriptors: no Python
         # float per value (a per-value parse peaks above 5x the arrays)
-        spec = SyntheticSpec(num_identities=50, samples_per_identity_per_modality=20)
+        spec = SyntheticSpec(num_identities=50, samples_per_identity=20)
         path = tmp_path / "train.csv"
         dump(generate(spec, np.random.default_rng(2))[0], path)
         tracemalloc.start()

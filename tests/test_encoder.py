@@ -510,19 +510,9 @@ class TestCheckpoint:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "checkpoint.bin"
             save_checkpoint(params, path)
-            loaded = load_checkpoint(path, expected_shape=shape)
+            loaded = load_checkpoint(path)
         assert loaded.shape == shape
         assert loaded.buffer.tobytes() == params.buffer.tobytes()
-
-    def test_expected_shape_mismatch(self, tmp_path):
-        rng = np.random.default_rng(18)
-        params = small_params(rng)
-        path = tmp_path / "c.bin"
-        save_checkpoint(params, path)
-        other = EncoderShape(descriptor_dim=3, num_classes=3, specific_widths=(4, 6),
-                             shared_widths=(5, 4))
-        with pytest.raises(ValueError, match="does not match"):
-            load_checkpoint(path, expected_shape=other)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -7,6 +7,7 @@ from oracle_utils import cmc_map_oracle, gallery_draws_reference
 from xreid.data import FeatureSet, THERMAL, VISIBLE
 from xreid import evaluation
 from xreid.evaluation import (
+    RANK_COLUMNS,
     EvalReport,
     cmc_map,
     evaluate,
@@ -328,6 +329,20 @@ class TestReportFile:
         assert lines[5] == "0.900000,0.010000,0.200000,0.050000"
         # rank columns beyond the gallery size saturate at the last cmc entry
         assert lines[3] == "mean,0.500000,1.000000,1.000000,1.000000,0.678901"
+
+    def test_rank_lookup_saturates_and_refuses_k_below_one(self, tmp_path):
+        report = EvalReport(
+            cmc=np.array([0.5, 0.75, 1.0]), map=0.6, trials=1,
+            per_trial_cmc=np.array([[0.5, 0.75, 1.0]]), per_trial_map=np.array([0.6]),
+        )
+        assert [report.rank(k) for k in (1, 2, 3, 4, 20)] == [0.5, 0.75, 1.0, 1.0, 1.0]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"rank k must be >= 1, got {k}"):
+                report.rank(k)
+        # the report's rank columns are the same lookup
+        write_report(tmp_path / "report.csv", report)
+        mean = (tmp_path / "report.csv").read_text().splitlines()[-1].split(",")
+        assert mean[1:-1] == [f"{report.rank(k):.6f}" for k in RANK_COLUMNS]
 
 
 def test_similarity_matrix_modes():

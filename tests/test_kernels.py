@@ -23,7 +23,7 @@ def kernel(xs, ys, spec):
     base bandwidth is the spec's fixed one, else the median over ``xs``."""
     xs, ys = np.atleast_2d(xs).astype(np.float64), np.atleast_2d(ys).astype(np.float64)
     base = median_base(xs) if spec.is_median_heuristic else spec.sigma_squared
-    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base))
+    return mixture_kernel_matrix(squared_distances(xs, ys), spec.bandwidths(base))[0]
 
 
 def single(sigma_squared):
@@ -156,7 +156,7 @@ class TestGram:
 
 def test_mixture_kernel_matrix_uniform_weights():
     d2 = np.array([[0.0, 4.0]])
-    out = mixture_kernel_matrix(d2, np.array([2.0, 4.0]))
+    out, _ = mixture_kernel_matrix(d2, np.array([2.0, 4.0]))
     assert out[0, 0] == 1.0
     assert out[0, 1] == pytest.approx((np.exp(-1.0) + np.exp(-0.5)) / 2.0, abs=1e-15)
 
@@ -165,7 +165,7 @@ def test_mixture_kernel_matrix_grad_weights_per_block():
     # A = (1/S) sum_s K_s / sigma_s^2 per block, with one bandwidth row per block
     d2 = np.array([[[0.0, 4.0]], [[1.0, 9.0]]])
     bandwidths = np.array([[2.0, 4.0], [1.0, 3.0]])
-    k, a = mixture_kernel_matrix(d2, bandwidths, grad_weights=True)
+    k, a = mixture_kernel_matrix(d2, bandwidths)
     for c in range(2):
         for j in range(2):
             ks = [np.exp(-d2[c, 0, j] / (2.0 * s2)) for s2 in bandwidths[c]]
@@ -173,14 +173,12 @@ def test_mixture_kernel_matrix_grad_weights_per_block():
             assert a[c, 0, j] == pytest.approx(np.mean([v / s2 for v, s2 in zip(ks, bandwidths[c])]), abs=1e-15)
 
 
-def stacked_mixture(d2, bandwidths, grad_weights=False):
+def stacked_mixture(d2, bandwidths):
     """Reference mixture: all scales as one (S, C, N, M) stack, summed by
     ``np.add.reduce`` over the scale axis."""
     s2 = np.moveaxis(np.asarray(bandwidths, dtype=np.float64), -1, 0)[..., None, None]
     per_scale = np.exp((d2 * -0.5) / s2)
     k = np.add.reduce(per_scale, axis=0) / len(s2)
-    if not grad_weights:
-        return k
     return k, np.add.reduce(per_scale / s2, axis=0) / len(s2)
 
 
@@ -202,13 +200,12 @@ def bits(a):
 @given(distance_stacks())
 def test_mixture_kernel_matrix_equals_stacked_reduce_bitwise(case):
     d2, bandwidths = case
-    k = mixture_kernel_matrix(d2, bandwidths)
-    assert bits(k) == bits(stacked_mixture(d2, bandwidths))
-    k, a = mixture_kernel_matrix(d2, bandwidths, grad_weights=True)
-    want_k, want_a = stacked_mixture(d2, bandwidths, grad_weights=True)
+    k, a = mixture_kernel_matrix(d2, bandwidths)
+    want_k, want_a = stacked_mixture(d2, bandwidths)
     assert bits(k) == bits(want_k) and bits(a) == bits(want_a)
     # one (N, M) block with an (S,) bandwidth row takes the same route
-    assert bits(mixture_kernel_matrix(d2[0], bandwidths[0])) == bits(want_k[0])
+    k0, a0 = mixture_kernel_matrix(d2[0], bandwidths[0])
+    assert bits(k0) == bits(want_k[0]) and bits(a0) == bits(want_a[0])
 
 
 class TestBlockStacks:

@@ -64,7 +64,7 @@ class TestGenerateMatchesReference:
     )
     def test_both_splits_bitwise(self, n_id, k, h, d, rotation, noise, thermal_scale, seed):
         spec = SyntheticSpec(
-            num_identities=n_id, samples_per_identity_per_modality=k, descriptor_count=h,
+            num_identities=n_id, samples_per_identity=k, descriptor_count=h,
             descriptor_dim=d, within_noise=noise, thermal_noise_scale=thermal_scale,
             per_identity_shift_rotation=rotation,
         )

@@ -155,7 +155,7 @@ def _traced_peak(fn):
 def test_encode_dataset_keeps_one_chunk_alive():
     # the output array plus one chunk's features pass; holding a chunk's
     # activations while the next one runs would add a second chunk
-    _, test = generate(SyntheticSpec(num_identities=20, samples_per_identity_per_modality=60),
+    _, test = generate(SyntheticSpec(num_identities=20, samples_per_identity=60),
                        np.random.default_rng(4))
     params = init_params(EncoderShape(descriptor_dim=8, num_classes=800), np.random.default_rng(0))
     chunk = 200
