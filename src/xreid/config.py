@@ -158,7 +158,9 @@ class ExperimentConfig:
             raise ConfigError(f"{where}: value for {key!r} holds a '#' or a line break: {value!r}")
         parser, _ = SCHEMA[key]
         try:
-            self.values[key] = parser(value)
+            # stripped, as config text and --set values are: to_text writes no
+            # edge blanks that from_text would keep
+            self.values[key] = parser(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 

@@ -176,17 +176,13 @@ def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
     return params
 
 
-def _run_stack(layers, x, record=None):
-    # bias and ReLU in place on each layer's product; ``record`` gets every
-    # layer's input and then the stack's output
-    for w, b in layers:
-        if record is not None:
-            record.append(x)
-        x = x @ w
+def _run_stack(layers, x, outs=()):
+    # bias and ReLU in place on each layer's product, which goes into
+    # ``outs[i]`` where there is one, else into a new array
+    for i, (w, b) in enumerate(layers):
+        x = np.matmul(x, w, out=outs[i] if i < len(outs) else None)
         x += b
         np.maximum(x, 0.0, out=x)
-    if record is not None:
-        record.append(x)
     return x
 
 
@@ -195,19 +191,26 @@ class Tape:
     """A forward pass's outputs (``pooled``, ``bn_features``, ``logits``)
     and everything the matching backward pass needs.
 
-    Each dense stack is recorded as depth + 1 arrays: every layer's input,
-    then the stack's (post-ReLU) output. No pre-activation is kept: a layer's
-    ReLU mask is taken from its output, which is > 0 exactly where the
-    pre-activation is. ``backward`` reads the tape and never writes to it.
+    The shared stack is recorded as depth + 1 arrays: every layer's input,
+    then the stack's (post-ReLU) output, which is the GeM input's buffer. A
+    modality-specific stack keeps only its layers' inputs: its output is
+    that modality's rows of the shared stack's input ``shared[0]``, and
+    nowhere else. No pre-activation is kept: a layer's ReLU mask is taken
+    from its output, which is > 0 exactly where the pre-activation is.
+
+    ``backward`` reads the tape and never writes to it. ``forward(...,
+    out=tape)`` writes a new batch of the same shape into the tape's
+    buffers, so a training loop keeps one tape for the whole run; only the
+    two row-index arrays are made anew.
     """
 
     params: EncoderParams
     train: bool
     vis_rows: np.ndarray
     th_rows: np.ndarray
-    specific_visible: list  # each layer's input, then the stack's output
+    specific_visible: list  # each layer's input
     specific_thermal: list
-    shared: list            # its last array is gem_in's buffer
+    shared: list            # each layer's input, then the stack's output
     gem_in: np.ndarray      # (N, H, D) post-ReLU descriptor outputs
     gem_pow: np.ndarray | None  # gem_in ** p with a learnable p, else None
     gem_mean: np.ndarray    # (N, D) mean of x^p
@@ -218,65 +221,113 @@ class Tape:
     logits: np.ndarray
 
 
-def _pow(x: np.ndarray, p: float) -> np.ndarray:
-    """``x ** p`` for ``x >= 0``, bit for bit, in a new array, but 0 wherever
-    ``x`` is 0.
+def _new_tape(params: EncoderParams, train: bool, vis_rows, th_rows, n: int, h: int) -> Tape:
+    # every buffer of a tape for n samples of h descriptors, unfilled
+    shape = params.shape
+    widths = (shape.descriptor_dim, *shape.specific_widths)
+    emb = shape.embedding_dim
+
+    def stack(rows, dims):
+        return [np.empty((rows, d)) for d in dims]
+
+    shared = stack(n * h, (widths[-1], *shape.shared_widths))
+    return Tape(
+        params=params, train=train, vis_rows=vis_rows, th_rows=th_rows,
+        specific_visible=stack(len(vis_rows), widths[:-1]),
+        specific_thermal=stack(len(th_rows), widths[:-1]),
+        shared=shared,
+        gem_in=shared[-1].reshape(n, h, emb),
+        gem_pow=np.empty((n, h, emb)) if shape.gem_p_learnable else None,
+        gem_mean=np.empty((n, emb)),
+        pooled=np.empty((n, emb)),
+        bn_ivar=np.empty(emb),
+        bn_xhat=np.empty((n, emb)),
+        bn_features=np.empty((n, emb)),
+        logits=np.empty((n, shape.num_classes)),
+    )
+
+
+def _pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``x ** p`` for ``x >= 0``, bit for bit, in ``out`` or a new array, but
+    0 wherever ``x`` is 0.
 
     numpy's float64 power is several times slower at 0 than elsewhere, and
-    about half of the post-ReLU GeM inputs are exactly 0; they are raised as
-    1 and zeroed after (so a ``-0.0`` comes out as ``+0.0``). At ``p == 2``
-    numpy squares, which is fast at 0 too. For ``p > 0`` that is ``x ** p``
-    everywhere. For ``p <= 0``, where ``0 ** p`` is 1 or inf, the 0 is what
-    GeM's backward pass takes for a channel whose mean is 0.
+    about half of the post-ReLU GeM inputs are exactly 0 at initialization
+    (more after training); they are raised as 1 and zeroed after (so a
+    ``-0.0`` comes out as ``+0.0``). At ``p == 2`` numpy squares, which is
+    fast at 0 too. For ``p > 0`` that is ``x ** p`` everywhere. For
+    ``p <= 0``, where ``0 ** p`` is 1 or inf, the 0 is what GeM's backward
+    pass takes for a channel whose mean is 0.
     """
     if p == 2.0:
-        return np.square(x)
+        return np.square(x, out=out)
     zero = x == 0
-    y = x + zero
+    y = np.add(x, zero, out=out)
     np.power(y, p, out=y)
     y *= ~zero
     return y
 
 
-def _pool(params: EncoderParams, descriptors, modalities, records=(None, None, None)):
-    """The dense stacks, then GeM pooling over each sample's H descriptors.
-
-    Returns the flat rows of each modality, the GeM input, its x^p, the
-    mean of that and the pooled features. With ``records`` (one list per
-    stack: visible, thermal, shared) each stack appends its layers' inputs
-    and its output; the shared stack's output is the GeM input's buffer.
-    """
+def _rows(params: EncoderParams, descriptors, modalities):
+    # the (N * H, D_in) descriptor rows, H, and the visible and thermal rows
     descriptors = np.asarray(descriptors, dtype=np.float64)
-    modalities = np.asarray(modalities)
     n, h, d_in = descriptors.shape
     if d_in != params.shape.descriptor_dim:
         raise ValueError(
             f"descriptor dim {d_in} does not match encoder input dim {params.shape.descriptor_dim}"
         )
-
-    flat = descriptors.reshape(n * h, d_in)
-    flat_modality = np.repeat(modalities, h)
+    flat_modality = np.repeat(np.asarray(modalities), h)
     vis_rows = np.where(flat_modality == VISIBLE)[0]
     th_rows = np.where(flat_modality == THERMAL)[0]
+    return descriptors.reshape(n * h, d_in), h, vis_rows, th_rows
 
-    mid_dim = params.shape.specific_widths[-1] if params.shape.specific_widths else d_in
-    mid = np.empty((n * h, mid_dim))
-    mid[vis_rows] = _run_stack(params.specific_visible, flat[vis_rows], records[0])
-    mid[th_rows] = _run_stack(params.specific_thermal, flat[th_rows], records[1])
-    out = _run_stack(params.shared, mid, records[2])
 
-    gem_in = out.reshape(n, h, out.shape[1])
+def _pool(params: EncoderParams, flat, h, rows, records=((), (), ()),
+          gem_pow=None, gem_mean=None, pooled=None):
+    """The dense stacks, then GeM pooling over each sample's H descriptors;
+    returns the pooled features.
+
+    ``flat`` holds the (N * H, D_in) descriptor rows and ``rows`` the
+    visible and the thermal row indices. Without buffers, every array is
+    new and only the pooled features outlive the call. With a tape's
+    buffers (its visible, thermal and shared records, x^p, the mean of that
+    and the pooled features), every result is written into them: each
+    stack's record gets its layers' inputs, the shared one also its output,
+    and a specific stack's output goes into its rows of the shared stack's
+    input.
+    """
+    shared = records[2]
+    if shared:
+        mid = shared[0]
+    else:
+        widths = params.shape.specific_widths
+        mid = np.empty((len(flat), widths[-1] if widths else flat.shape[1]))
+    for layers, index, record in zip((params.specific_visible, params.specific_thermal), rows, records):
+        # the rows are in range; under its default mode "raise", take
+        # writes through a second buffer when given ``out``
+        x = np.take(flat, index, axis=0, out=record[0] if record else None, mode="clip")
+        mid[index] = _run_stack(layers, x, record[1:])
+    out = _run_stack(params.shared, mid, shared[1:])
+
+    gem_in = out.reshape(len(out) // h, h, out.shape[1])
     p = float(params.gem_p)
-    gem_pow = _pow(gem_in, p)
-    gem_mean = np.add.reduce(gem_pow, axis=1)
+    gem_pow = _pow(gem_in, p, out=gem_pow)
+    gem_mean = np.add.reduce(gem_pow, axis=1, out=gem_mean)
     gem_mean /= h  # numpy's mean over axis 1, without its call overhead
-    return vis_rows, th_rows, gem_in, gem_pow, gem_mean, _pow(gem_mean, 1.0 / p)
+    return _pow(gem_mean, 1.0 / p, out=pooled)
 
 
-def _batch_norm(params: EncoderParams, pooled, mu, var):
-    ivar = 1.0 / np.sqrt(var + params.shape.bn_eps)
-    xhat = (pooled - mu) * ivar
-    return ivar, xhat, params.bn_gamma * xhat + params.bn_beta
+def _batch_norm(params: EncoderParams, pooled, mu, var, ivar=None, xhat=None, out=None):
+    # 1 / sqrt(var + eps), (pooled - mu) * ivar and gamma * xhat + beta, each
+    # into its buffer if given
+    ivar = np.add(var, params.shape.bn_eps, out=ivar)
+    np.sqrt(ivar, out=ivar)
+    np.divide(1.0, ivar, out=ivar)
+    xhat = np.subtract(pooled, mu, out=xhat)
+    xhat *= ivar
+    out = np.multiply(params.bn_gamma, xhat, out=out)
+    out += params.bn_beta
+    return ivar, xhat, out
 
 
 def forward(
@@ -284,26 +335,44 @@ def forward(
     descriptors,
     modalities,
     train: bool = True,
+    out: Tape | None = None,
 ) -> Tape:
     """Run the two-stream encoder over a batch of descriptor grids.
 
     In training mode BN uses batch statistics and updates the running ones in
     place; in eval mode it uses the stored running statistics and the pass is
     exactly per-sample.
+
+    Returns a new :class:`Tape`, or with ``out`` (a tape from an earlier
+    call on a batch of the same shape: samples, descriptors per sample and
+    rows of each modality, under an encoder of the same shape) that tape,
+    with every array it keeps written into its own buffers. The values are
+    the same bits either way. An ``out`` of another shape raises
+    ``ValueError`` naming what differs.
     """
-    records = ([], [], [])
-    vis_rows, th_rows, gem_in, gem_pow, gem_mean, pooled = _pool(
-        params, descriptors, modalities, records
-    )
-    if not params.shape.gem_p_learnable:
-        gem_pow = None  # only the GeM power's gradient reads it
+    flat, h, vis_rows, th_rows = _rows(params, descriptors, modalities)
+    n = len(flat) // h
+    if out is None:
+        tape = _new_tape(params, train, vis_rows, th_rows, n, h)
+    else:
+        had = (out.params.shape, *out.gem_in.shape[:2], len(out.vis_rows), len(out.th_rows))
+        got = (params.shape, n, h, len(vis_rows), len(th_rows))
+        what = ("encoder shape", "samples", "descriptors per sample", "visible rows", "thermal rows")
+        differ = [f"{w} {a} vs {b}" for w, a, b in zip(what, had, got) if a != b]
+        if differ:
+            raise ValueError(f"out tape does not fit this batch (tape vs batch): {'; '.join(differ)}")
+        tape = out
+        tape.params, tape.train, tape.vis_rows, tape.th_rows = params, train, vis_rows, th_rows
+
+    pooled = _pool(params, flat, h, (vis_rows, th_rows),
+                   (tape.specific_visible, tape.specific_thermal, tape.shared),
+                   tape.gem_pow, tape.gem_mean, tape.pooled)
     if train:
         # numpy's mean and var (ddof 0) of the columns, sharing one column
         # sum: the same operations in the same order, so the same bits
-        n = len(pooled)
         mu = np.add.reduce(pooled, axis=0)
         mu /= n
-        var = np.subtract(pooled, mu)
+        var = np.subtract(pooled, mu, out=tape.bn_xhat)  # scratch until xhat is written
         np.square(var, out=var)
         var = np.add.reduce(var, axis=0)
         var /= n
@@ -315,10 +384,10 @@ def forward(
     else:
         mu = params.bn_running_mean
         var = params.bn_running_var
-    ivar, xhat, bn_features = _batch_norm(params, pooled, mu, var)
-    logits = bn_features @ params.cls_w + params.cls_b
-    return Tape(params, train, vis_rows, th_rows, *records,
-                gem_in, gem_pow, gem_mean, pooled, ivar, xhat, bn_features, logits)
+    _batch_norm(params, pooled, mu, var, tape.bn_ivar, tape.bn_xhat, tape.bn_features)
+    np.matmul(tape.bn_features, params.cls_w, out=tape.logits)
+    tape.logits += params.cls_b
+    return tape
 
 
 def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> np.ndarray:
@@ -329,7 +398,8 @@ def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> n
     ``bn_features`` bit for bit; no logits are computed and no layer's
     activations are kept for a backward pass.
     """
-    pooled = _pool(params, descriptors, modalities)[-1]
+    flat, h, vis_rows, th_rows = _rows(params, descriptors, modalities)
+    pooled = _pool(params, flat, h, (vis_rows, th_rows))
     if not bn:
         return pooled
     return _batch_norm(params, pooled, params.bn_running_mean, params.bn_running_var)[2]
@@ -338,12 +408,15 @@ def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> n
 def _stack_backward(layers, record, d_out, grad_layers, input_grad=True):
     # writes each layer's (w, b) gradient into ``grad_layers``; returns the
     # gradient at the stack's input, or None without ``input_grad``, which
-    # skips the first layer's product with w.T. ``d_out`` is the caller's to
-    # overwrite: each layer's ReLU mask (its output > 0) is multiplied into
-    # the incoming gradient in place.
+    # skips the first layer's product with w.T. ``record`` holds each
+    # layer's input and may hold the stack's output after them; without it,
+    # ``d_out`` comes with the last layer's ReLU mask already applied.
+    # ``d_out`` is the caller's to overwrite: each layer's ReLU mask (its
+    # output > 0) is multiplied into the incoming gradient in place.
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        d_out *= record[i + 1] > 0
+        if i + 1 < len(record):
+            d_out *= record[i + 1] > 0
         np.matmul(record[i].T, d_out, out=grad_layers[i][0])
         np.add.reduce(d_out, axis=0, out=grad_layers[i][1])
         if i > 0 or input_grad:
@@ -419,6 +492,10 @@ def backward(tape: Tape, grad_pooled, grad_logits, out: EncoderParams) -> Encode
 
     d_shared_out = d_gem_in.reshape(n * h, -1)
     d_mid = _stack_backward(params.shared, tape.shared, d_shared_out, grads.shared)
+    if params.shape.specific_widths:
+        # the specific stacks' outputs are the rows of the shared stack's
+        # input: their last ReLU masks, for both modalities at once
+        d_mid *= tape.shared[0] > 0
     # the descriptors take no gradient
     _stack_backward(params.specific_visible, tape.specific_visible, d_mid[tape.vis_rows],
                     grads.specific_visible, input_grad=False)
@@ -465,13 +542,19 @@ def lr_factor(epoch: int, hyper: SgdHyper) -> float:
 
 
 class SgdState:
-    """Momentum buffer and per-element weight decay, each the size of the
-    parameter buffer, made on the first step from that step's parameters
-    and hyperparameters: one state serves one run."""
+    """The momentum buffer, the size of the parameter buffer, made on the
+    first step: one state serves one run."""
 
     def __init__(self):
         self.velocity: np.ndarray | None = None
-        self.decay: np.ndarray | None = None
+
+
+def _decay_exempt(params: EncoderParams) -> slice:
+    # the buffer span of the GeM power and the four bn.* arrays, which sit
+    # back to back in param_layout
+    names = [name for name, _ in params.layout]
+    start, stop = names.index("gem_p"), names.index("bn.running_var") + 1
+    return slice(params.offsets[start], params.offsets[stop])
 
 
 def sgd_step(
@@ -483,11 +566,14 @@ def sgd_step(
 ) -> None:
     """One momentum-SGD update in place, over the whole parameter buffer.
 
-    Weight decay is added to the raw gradient for every parameter except the
-    BN scale/shift and the GeM power; the GeM power is clamped back to >= 1
-    after the update. A non-finite gradient aborts the step before any
-    parameter changes. Untrained arrays have zero gradient slots (as
-    :func:`backward` leaves them) and no decay, so they stay as they are.
+    Weight decay, one scalar times the parameters, is added to the raw
+    gradient for every parameter except the GeM power and the BN arrays
+    (scale, shift and running statistics), whose span of the buffer gets
+    ``0.0 *`` the parameters instead: the bits of a per-element decay of 0,
+    ``-0.0`` included. The GeM power is clamped back to >= 1 after the
+    update. A non-finite gradient aborts the step before any parameter
+    changes. Untrained arrays have zero gradient slots (as :func:`backward`
+    leaves them) and no decay, so they stay as they are.
     """
     if grads.shape != params.shape:
         raise ValueError("gradient layout does not match the parameters")
@@ -499,15 +585,11 @@ def sgd_step(
         raise FloatingPointError(f"non-finite gradient in {name!r}: {bad} of {size} entries")
     if state.velocity is None:
         state.velocity = np.zeros_like(params.buffer)
-        # no decay on BN scale/shift, the GeM power and the untrained arrays
-        decayed = set(params.trainable_names()) - {"bn.gamma", "bn.beta", "gem_p"}
-        state.decay = np.concatenate([
-            np.full(arr.size, hyper.weight_decay * (name in decayed))
-            for name, arr in params.items()
-        ])
     lr = hyper.base_lr * lr_factor(epoch, hyper)
     arr, v = params.buffer, state.velocity
-    step = state.decay * arr
+    step = np.multiply(arr, hyper.weight_decay)
+    exempt = _decay_exempt(params)
+    np.multiply(arr[exempt], 0.0, out=step[exempt])
     step += g
     v *= hyper.momentum
     v += step

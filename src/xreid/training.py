@@ -77,6 +77,7 @@ def run_training(
 
     state = SgdState()
     grads = params.zeros_like()  # every backward writes all of it
+    tape = None  # the first forward makes the tape every later step refills
     epochs = config["train.epochs"]
     batches = sampler.batches_per_epoch()
 
@@ -89,7 +90,7 @@ def run_training(
         table = np.empty((batches, 6))
         for step in range(batches):
             batch = sampler.next_batch()
-            tape = forward(params, batch.descriptors, batch.modalities, train=True)
+            tape = forward(params, batch.descriptors, batch.modalities, train=True, out=tape)
             if not np.isfinite(tape.pooled).all():
                 raise TrainingDiverged(
                     f"non-finite pooled features at epoch {epoch}", last_good, epoch

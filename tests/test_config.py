@@ -106,6 +106,20 @@ class TestParsing:
             cfg.set("output.dir", value, where="--set")
         assert cfg.output_dir == "runs/default"
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("output.dir", " runs/a ", "runs/a"),
+        ("output.dir", "\truns/b", "runs/b"),
+        ("mmd.variant", " marginal", "marginal"),
+        ("seed", " 7 ", 7),
+    ])
+    def test_set_value_survives_the_resolved_config(self, key, value, want):
+        # set strips a value as from_text does, so a set value reads back
+        # from the text it writes
+        cfg = ExperimentConfig.defaults()
+        cfg.set(key, value)
+        assert cfg[key] == want
+        assert ExperimentConfig.from_text(cfg.to_text()).values == cfg.values
+
 
 class TestTypedViews:
     def test_module_objects_from_defaults(self):

@@ -49,6 +49,13 @@ def small_batch(rng, n=8, h=2, din=3):
     return descriptors, modalities, identities
 
 
+def tape_arrays(tape):
+    """Every array a tape keeps but its GeM input, a view of ``shared[-1]``."""
+    return [tape.vis_rows, tape.th_rows, *tape.specific_visible, *tape.specific_thermal,
+            *tape.shared, *([] if tape.gem_pow is None else [tape.gem_pow]), tape.gem_mean,
+            tape.pooled, tape.bn_ivar, tape.bn_xhat, tape.bn_features, tape.logits]
+
+
 class TestShape:
     @pytest.mark.parametrize("widths, message", [
         ({"specific_widths": (0,)}, r"specific_widths must be >= 1, got \(0,\)"),
@@ -208,21 +215,83 @@ class TestForward:
 
     @pytest.mark.parametrize("specific, shared", [((4, 5), (5, 4)), ((4,), ()), ((), (3,))])
     def test_tape_records_inputs_and_outputs(self, specific, shared):
-        # depth + 1 arrays per stack: each layer's input, then the stack's
-        # post-ReLU output; no pre-activation is kept
+        # the shared stack keeps depth + 1 arrays: each layer's input, then
+        # its post-ReLU output; a specific stack keeps its layers' inputs,
+        # and its output is its rows of the shared stack's input. No
+        # pre-activation is kept
         rng = np.random.default_rng(13)
         params = small_params(rng, specific=specific, shared=shared)
         descriptors, modalities, _ = small_batch(rng)
         out = forward(params, descriptors, modalities, train=True)
         flat = descriptors.reshape(-1, descriptors.shape[-1])
-        for layers, record in ((params.specific_visible, out.specific_visible),
-                               (params.specific_thermal, out.specific_thermal),
-                               (params.shared, out.shared)):
-            assert len(record) == len(layers) + 1
-            for (w, b), x, y in zip(layers, record, record[1:]):
+        mid = out.shared[0]
+        for layers, record, rows in ((params.specific_visible, out.specific_visible, out.vis_rows),
+                                     (params.specific_thermal, out.specific_thermal, out.th_rows)):
+            assert len(record) == len(layers)
+            outputs = [*record[1:], mid[rows]]
+            for (w, b), x, y in zip(layers, record, outputs):
                 assert np.array_equal(y, np.maximum(x @ w + b, 0.0))
-        assert np.array_equal(out.specific_visible[0], flat[out.vis_rows])
+            assert np.array_equal(record[0] if layers else mid[rows], flat[rows])
+        assert len(out.shared) == len(params.shared) + 1
+        for (w, b), x, y in zip(params.shared, out.shared, out.shared[1:]):
+            assert np.array_equal(y, np.maximum(x @ w + b, 0.0))
         assert np.shares_memory(out.shared[-1], out.gem_in)
+
+    @pytest.mark.parametrize("specific, shared, gem_p, learnable", [
+        ((4, 5), (5, 4), 3.0, False),
+        ((), (5, 4), 3.0, False),
+        ((4, 5), (), 3.0, False),
+        ((), (), 3.0, True),
+        ((4, 5), (5, 4), 1.0, True),
+        ((4, 5), (5, 4), 2.0, False),
+        ((4, 5), (5, 4), 3.0, True),
+    ], ids=["default", "no-specific", "no-shared", "no-stacks", "p1-learnable", "p2", "p3-learnable"])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_out_tape_is_refilled_bitwise(self, specific, shared, gem_p, learnable, train):
+        # a tape refilled by the next batch holds the bits of a fresh tape,
+        # in its own buffers, and backward gives the same gradient
+        rng = np.random.default_rng(15)
+        params = small_params(rng, specific=specific, shared=shared, gem_p=gem_p,
+                              gem_p_learnable=learnable)
+        first, modalities, _ = small_batch(rng)
+        first = np.abs(first)  # GeM's input is >= 0 with no stack before it
+        second = np.maximum(rng.standard_normal(first.shape), 0.0)  # exact zeros too
+        swapped = modalities[::-1].copy()  # other rows, the same count of each
+        twin = params.copy()
+        prev = forward(params, first, modalities, train=train)
+        forward(twin, first, modalities, train=train)
+        buffers = tape_arrays(prev)[2:]  # the row indices are made anew
+        fresh = forward(twin, second, swapped, train=train)
+        reused = forward(params, second, swapped, train=train, out=prev)
+        assert reused is prev and reused.params is params and reused.train == train
+        for got, want in zip(tape_arrays(reused), tape_arrays(fresh), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(buffers) == len(tape_arrays(reused)) - 2
+        assert all(a is b for a, b in zip(buffers, tape_arrays(reused)[2:]))
+        assert np.shares_memory(reused.gem_in, buffers[len(specific) * 2 + len(shared)])
+        assert params.buffer.tobytes() == twin.buffer.tobytes()  # BN running statistics
+        grad_pooled = rng.standard_normal(fresh.pooled.shape)
+        grad_logits = rng.standard_normal(fresh.logits.shape)
+        got = backward(reused, grad_pooled, grad_logits, params.zeros_like())
+        want = backward(fresh, grad_pooled, grad_logits, twin.zeros_like())
+        assert got.buffer.tobytes() == want.buffer.tobytes()
+
+    @pytest.mark.parametrize("n, modalities, message", [
+        (4, [VISIBLE, THERMAL] * 2, r": samples 8 vs 4; visible rows 8 vs 4; thermal rows 8 vs 4$"),
+        (8, [VISIBLE] * 6 + [THERMAL] * 2, r": visible rows 8 vs 12; thermal rows 8 vs 4$"),
+    ])
+    def test_out_tape_of_another_batch_shape_rejected(self, n, modalities, message):
+        rng = np.random.default_rng(16)
+        params = small_params(rng)
+        prev = forward(params, *small_batch(rng)[:2])
+        with pytest.raises(ValueError, match=r"^out tape does not fit this batch \(tape vs batch\)" + message):
+            forward(params, rng.standard_normal((n, 2, 3)), np.array(modalities), out=prev)
+        h3 = rng.standard_normal((8, 3, 3))
+        with pytest.raises(ValueError, match=r": descriptors per sample 2 vs 3; visible rows 8 vs 12"):
+            forward(params, h3, np.tile([VISIBLE, THERMAL], 4), out=prev)
+        wider = small_params(rng, num_classes=4)
+        with pytest.raises(ValueError, match=r": encoder shape EncoderShape\(.*\) vs EncoderShape\("):
+            forward(wider, *small_batch(rng)[:2], out=prev)
 
     def test_running_stats_updated_only_in_train(self):
         rng = np.random.default_rng(6)
@@ -311,10 +380,7 @@ class TestBackward:
         params = small_params(rng, gem_p=gem_p, gem_p_learnable=learnable)
         descriptors, modalities, identities = small_batch(rng)
         bundle, out = self.total_loss(params, descriptors, modalities, identities)
-        arrays = [out.vis_rows, out.th_rows, *out.specific_visible, *out.specific_thermal,
-                  *out.shared, out.gem_in, out.gem_mean, out.pooled, out.bn_ivar,
-                  *([] if out.gem_pow is None else [out.gem_pow]),
-                  out.bn_xhat, out.bn_features, out.logits]
+        arrays = tape_arrays(out)
         before = [a.copy() for a in arrays]
         first = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))

@@ -239,17 +239,31 @@ def random_grads(params, rng):
     return grads
 
 
+def signed_zeros(arrays, names, rng):
+    # about a third of each named array's entries to +0.0, a third to -0.0
+    for name in names:
+        flat = arrays[name].reshape(-1)
+        draw = rng.integers(0, 3, flat.size)
+        flat[draw == 1] = 0.0
+        flat[draw == 2] = -0.0
+
+
 class TestSgdMatchesReference:
     @given(sgd_setups())
     def test_several_steps_bitwise(self, setup):
+        # with +0.0 and -0.0 among the parameters and gradients of the span
+        # that takes no weight decay (the GeM power and the bn.* arrays)
         shape, hyper, seed = setup
         rng = np.random.default_rng(seed)
         params = init_params(shape, rng)
+        undecayed = [name for name in params if name == "gem_p" or name.startswith("bn.")]
+        signed_zeros(params, undecayed, rng)
         arrays = {name: arr.copy() for name, arr in params.items()}
         velocity = {}
         state = SgdState()
         for epoch in range(4):
             grads = random_grads(params, rng)
+            signed_zeros(grads, set(undecayed) & set(params.trainable_names()), rng)
             sgd_step(params, grads, state, hyper, epoch)
             sgd_step_reference(arrays, params.trainable_names(), grads, velocity, hyper,
                                hyper.base_lr * lr_factor(epoch, hyper), shape.gem_p_learnable)

@@ -152,6 +152,37 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_consecutive_pk16_steps_hold_one_tape(monkeypatch):
+    # P=16, K=8 with the default widths: the second step's forward refills
+    # the first step's tape, so it keeps no second tape alive and adds only
+    # its temporaries
+    cfg = small_config(**{
+        "data.num_identities": 20, "data.samples_per_identity": 16, "batch.p": 16, "batch.k": 8,
+        "mmd.variant": "marginal", "train.epochs": 1,
+        "encoder.specific_widths": (32, 64), "encoder.shared_widths": (64, 64),
+    })
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    forward, calls = training.forward, []
+
+    def traced_forward(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape = forward(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        calls.append((tape, current - before, peak - before))
+        return tape
+
+    monkeypatch.setattr(training, "forward", traced_forward)
+    _traced_peak(lambda: run_training(cfg, train))
+    (first, grew_first, _), (second, grew, peak) = calls
+    assert len(first.pooled) == 256 and second is first
+    tape_bytes = sum(a.nbytes for a in (*first.specific_visible, *first.specific_thermal,
+                                        *first.shared, first.gem_mean, first.pooled,
+                                        first.bn_xhat, first.bn_features, first.logits))
+    assert tape_bytes > 2_000_000 and grew_first >= tape_bytes
+    assert grew < 0.01 * tape_bytes and peak < 0.5 * tape_bytes
+
+
 def test_encode_dataset_keeps_one_chunk_alive():
     # the output array plus one chunk's features pass; holding a chunk's
     # activations while the next one runs would add a second chunk
