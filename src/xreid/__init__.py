@@ -22,7 +22,6 @@ from .encoder import (
     EncoderParams,
     EncoderShape,
     SgdHyper,
-    SgdState,
     backward,
     forward,
     init_params,
@@ -74,7 +73,6 @@ __all__ = [
     "EncoderShape",
     "EncoderParams",
     "SgdHyper",
-    "SgdState",
     "init_params",
     "forward",
     "backward",

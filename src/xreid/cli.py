@@ -112,10 +112,14 @@ def _manifest_files(path: Path) -> dict[str, str]:
 
 def load_dataset(dataset_dir, split: str) -> DescriptorSet:
     """Load one split (``"train"`` or ``"test"``) of a generated dataset,
-    refusing on a malformed manifest and on a checksum mismatch in any
-    manifest file, unparsed ones too."""
+    refusing on a malformed manifest, one that lists no file for the split,
+    and a checksum mismatch in any manifest file, unparsed ones too."""
     dataset_dir = Path(dataset_dir)
-    for name, expected in _manifest_files(_manifest_path(dataset_dir)).items():
+    manifest = _manifest_path(dataset_dir)
+    files = _manifest_files(manifest)
+    if f"{split}.csv" not in files:
+        raise CliError(f"{manifest}: manifest has no {split}.csv entry to check the split against")
+    for name, expected in files.items():
         actual = _sha256(dataset_dir / name)
         if actual != expected:
             raise CliError(

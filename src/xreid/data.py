@@ -400,6 +400,8 @@ def load(path) -> DescriptorSet:
             ) from None
         if version != _DUMP_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
+        if h < 1 or d < 1:
+            raise ValueError(f"{path}: dataset header {header!r} needs H >= 1 and D_in >= 1")
 
         row = np.dtype([
             ("identity", np.int64),

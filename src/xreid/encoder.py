@@ -541,14 +541,6 @@ def lr_factor(epoch: int, hyper: SgdHyper) -> float:
     return factor
 
 
-class SgdState:
-    """The momentum buffer, the size of the parameter buffer, made on the
-    first step: one state serves one run."""
-
-    def __init__(self):
-        self.velocity: np.ndarray | None = None
-
-
 def _decay_exempt(params: EncoderParams) -> slice:
     # the buffer span of the GeM power and the four bn.* arrays, which sit
     # back to back in param_layout
@@ -560,33 +552,33 @@ def _decay_exempt(params: EncoderParams) -> slice:
 def sgd_step(
     params: EncoderParams,
     grads: EncoderParams,
-    state: SgdState,
+    velocity: EncoderParams,
     hyper: SgdHyper,
     epoch: int = 0,
 ) -> None:
-    """One momentum-SGD update in place, over the whole parameter buffer.
+    """One momentum-SGD update in place, over the whole parameter buffer
+    and the momentum ``velocity``, an :class:`EncoderParams` of its shape.
 
     Weight decay, one scalar times the parameters, is added to the raw
     gradient for every parameter except the GeM power and the BN arrays
     (scale, shift and running statistics), whose span of the buffer gets
     ``0.0 *`` the parameters instead: the bits of a per-element decay of 0,
     ``-0.0`` included. The GeM power is clamped back to >= 1 after the
-    update. A non-finite gradient aborts the step before any parameter
-    changes. Untrained arrays have zero gradient slots (as :func:`backward`
-    leaves them) and no decay, so they stay as they are.
+    update. A non-finite gradient aborts the step before any parameter or
+    velocity entry changes. Untrained arrays have zero gradient slots (as
+    :func:`backward` leaves them) and no decay, so they stay as they are.
     """
-    if grads.shape != params.shape:
-        raise ValueError("gradient layout does not match the parameters")
+    for name, buf in (("gradient", grads), ("velocity", velocity)):
+        if buf.shape != params.shape:
+            raise ValueError(f"{name} layout does not match the parameters")
     g = grads.buffer
     if not np.isfinite(g).all():
         name = grads.name_at(int(np.argmin(np.isfinite(g))))
         size = grads[name].size
         bad = int(size - np.isfinite(grads[name]).sum())
         raise FloatingPointError(f"non-finite gradient in {name!r}: {bad} of {size} entries")
-    if state.velocity is None:
-        state.velocity = np.zeros_like(params.buffer)
     lr = hyper.base_lr * lr_factor(epoch, hyper)
-    arr, v = params.buffer, state.velocity
+    arr, v = params.buffer, velocity.buffer
     step = np.multiply(arr, hyper.weight_decay)
     exempt = _decay_exempt(params)
     np.multiply(arr[exempt], 0.0, out=step[exempt])
@@ -667,7 +659,6 @@ __all__ = [
     "param_layout",
     "Tape",
     "SgdHyper",
-    "SgdState",
     "init_params",
     "forward",
     "embed",

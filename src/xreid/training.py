@@ -18,7 +18,7 @@ import numpy as np
 from . import seeds
 from .config import ExperimentConfig
 from .data import BatchSampler, DescriptorSet, FeatureSet, _prechecked
-from .encoder import EncoderParams, SgdState, backward, embed, forward, init_params, sgd_step
+from .encoder import EncoderParams, backward, embed, forward, init_params, sgd_step
 from .losses import loss_total
 
 class TrainingDiverged(RuntimeError):
@@ -75,14 +75,14 @@ def run_training(
     estimator = config["mmd.estimator"]
     variant = config["mmd.variant"]
 
-    state = SgdState()
     grads = params.zeros_like()  # every backward writes all of it
+    velocity = params.zeros_like()
+    last_good = params.copy()  # refilled after each epoch
     tape = None  # the first forward makes the tape every later step refills
     epochs = config["train.epochs"]
     batches = sampler.batches_per_epoch()
 
     stats: list[EpochStats] = []
-    last_good = params.copy()
     for epoch in range(epochs):
         t0 = time.perf_counter()
         # one row per step; a diagnostic the bundle lacks is NaN, and so is
@@ -113,7 +113,7 @@ def run_training(
                     f"non-finite loss {bundle.total} at epoch {epoch}", last_good, epoch
                 )
             backward(tape, bundle.grad_pooled, bundle.grad_logits, out=grads)
-            sgd_step(params, grads, state, hyper, epoch)
+            sgd_step(params, grads, velocity, hyper, epoch)
 
             mmd2 = bundle.class_mmd2
             table[step] = (
@@ -125,7 +125,7 @@ def run_training(
                 np.nan if mmd2 is None else mmd2.sum() / len(mmd2),  # np.mean's bits
             )
         stats.append(EpochStats(epoch, *table.sum(axis=0) / batches, time.perf_counter() - t0))
-        last_good = params.copy()
+        np.copyto(last_good.buffer, params.buffer)
     return params, stats
 
 

@@ -90,6 +90,41 @@ class TestGenerate:
         assert err.startswith("error: dataset checksum mismatch for " + corrupt)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,split", [("train", "train.csv"), ("eval", "test.csv")])
+    def test_split_missing_from_manifest_is_one_error_line(self, tmp_path, capsys, command, split):
+        # a split the manifest does not list has no checksum to check it by
+        cfg = tiny_config(tmp_path)
+        out = cmd_generate(cfg)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["files"][split]
+        path.write_text(json.dumps(manifest))
+        (out / split).write_text((out / split).read_text().replace("0", "1", 1))
+        # a checkpoint eval would accept
+        (tmp_path / "train").mkdir()
+        params = init_params(cfg.encoder_shape(num_classes=8), np.random.default_rng(0))
+        save_checkpoint(params, tmp_path / "train" / "checkpoint.bin")
+        cfg.write(tmp_path / "tiny.conf")
+        assert main([command, "--config", str(tmp_path / "tiny.conf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and f"no {split} entry" in err, err
+        assert err.count("\n") == 1
+
+    def test_header_h_below_one_is_one_error_line(self, tmp_path, capsys):
+        # an H=0 set would reach training and divide by zero there
+        out = cmd_generate(tiny_config(tmp_path))
+        rows = (out / "train.csv").read_text().splitlines()[1:]
+        # each row keeps its identity and modality and its H * D_in = 0 values
+        (out / "train.csv").write_text(
+            "#version=1,H=0,D_in=8\n" + "".join(",".join(r.split(",")[:2]) + "\n" for r in rows))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["train.csv"] = _sha256(out / "train.csv")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--set", f"output.dir={tmp_path}"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {out / 'train.csv'}: dataset header '#version=1,H=0,D_in=8' "
+                       "needs H >= 1 and D_in >= 1\n")
+
     @pytest.mark.parametrize("field,value,message", [
         (0, "bad-header", "needs integer version, H and D_in"),
         (1, "x", "modality token 'x'"),

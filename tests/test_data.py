@@ -343,6 +343,18 @@ class TestDumpLoad:
         with pytest.raises(ValueError, match="header.csv: dataset header .* needs integer"):
             load(path)
 
+    @pytest.mark.parametrize("header, row", [
+        ("#version=1,H=0,D_in=2", "0,v"),  # would load as an (N, 0, 2) set
+        ("#version=1,H=2,D_in=0", "0,v"),
+        ("#version=1,H=-1,D_in=2", "0,v,1.0,2.0"),  # numpy would refuse the row dtype
+    ])
+    def test_header_shape_below_one_names_path(self, tmp_path, header, row):
+        path = tmp_path / "shape.csv"
+        path.write_text(f"{header}\n{row}\n")
+        message = f"shape.csv: dataset header '{header}' needs H >= 1 and D_in >= 1$"
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
     def test_unknown_modality_token_names_path(self, tmp_path):
         path = tmp_path / "token.csv"
         path.write_text("#version=1,H=1,D_in=2\n0,v,1.0,2.0\n0,x,1.0,2.0\n")

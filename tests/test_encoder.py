@@ -14,7 +14,6 @@ from xreid.encoder import (
     _pow,
     EncoderShape,
     SgdHyper,
-    SgdState,
     backward,
     embed,
     forward,
@@ -446,14 +445,14 @@ class TestSgd:
         g = np.ones_like(w_before)
         grads["shared.0.w"] = g
         hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0, warmup_epochs=0, total_epochs=100)
-        sgd_step(params, grads, SgdState(), hyper, epoch=1)
+        sgd_step(params, grads, params.zeros_like(), hyper, epoch=1)
         assert np.allclose(params.shared[0][0], w_before - 0.1 * g, atol=1e-15)
 
     def test_two_step_momentum_trace(self):
         rng = np.random.default_rng(13)
         params = small_params(rng)
         hyper = SgdHyper(base_lr=1.0, momentum=0.9, weight_decay=0.0, warmup_epochs=0, total_epochs=100)
-        state = SgdState()
+        velocity = params.zeros_like()
         w = params.cls_b
         w0 = w.copy()
         g1 = np.full_like(w, 2.0)
@@ -461,7 +460,7 @@ class TestSgd:
         for g in (g1, g2):
             grads = params.zeros_like()
             grads["classifier.b"] = g
-            sgd_step(params, grads, state, hyper, epoch=1)
+            sgd_step(params, grads, velocity, hyper, epoch=1)
         # v1 = g1, v2 = 0.9 g1 + g2; w = w0 - lr (v1 + v2)
         expected = w0 - (g1 + 0.9 * g1 + g2)
         assert np.allclose(w, expected, atol=1e-12)
@@ -473,7 +472,7 @@ class TestSgd:
         params.cls_b[...] = 2.0
         zero = params.zeros_like()
         hyper = SgdHyper(base_lr=1.0, momentum=0.0, weight_decay=0.1, warmup_epochs=0, total_epochs=10)
-        sgd_step(params, zero, SgdState(), hyper, epoch=1)
+        sgd_step(params, zero, params.zeros_like(), hyper, epoch=1)
         assert np.all(params.bn_gamma == 2.0)
         assert np.allclose(params.cls_b, 2.0 - 0.1 * 2.0, atol=1e-15)
 
@@ -492,14 +491,29 @@ class TestSgd:
         params = small_params(rng)
         grads = params.zeros_like()
         grads["shared.0.w"] = np.full_like(params.shared[0][0], np.nan)
+        velocity = params.zeros_like()
+        velocity.buffer[:] = rng.standard_normal(velocity.buffer.size)
+        params_before, velocity_before = params.buffer.copy(), velocity.buffer.copy()
         with pytest.raises(FloatingPointError, match="shared.0.w"):
-            sgd_step(params, grads, SgdState(), SgdHyper(base_lr=0.1), epoch=0)
+            sgd_step(params, grads, velocity, SgdHyper(base_lr=0.1), epoch=0)
+        assert np.array_equal(params.buffer, params_before)
+        assert np.array_equal(velocity.buffer, velocity_before)
+
+    @pytest.mark.parametrize("which", ["gradient", "velocity"])
+    def test_buffer_of_another_shape_rejected(self, which):
+        params = small_params(np.random.default_rng(17))
+        other = small_params(np.random.default_rng(17), num_classes=4).zeros_like()
+        buffers = {"gradient": params.zeros_like(), "velocity": params.zeros_like(), which: other}
+        before = params.buffer.copy()
+        with pytest.raises(ValueError, match=f"{which} layout does not match"):
+            sgd_step(params, buffers["gradient"], buffers["velocity"], SgdHyper(base_lr=0.1))
+        assert np.array_equal(params.buffer, before)
 
     def test_determinism_bitwise(self):
         def train_once():
             rng = np.random.default_rng(16)
             params = small_params(np.random.default_rng(99))
-            state = SgdState()
+            velocity = params.zeros_like()
             hyper = SgdHyper(base_lr=0.01, warmup_epochs=1, total_epochs=5)
             descriptors, modalities, identities = small_batch(rng)
             for epoch in range(5):
@@ -512,7 +526,7 @@ class TestSgd:
                     weights=LossWeights(),
                 )
                 grads = backward(out, bundle.grad_pooled, bundle.grad_logits, params.zeros_like())
-                sgd_step(params, grads, state, hyper, epoch)
+                sgd_step(params, grads, velocity, hyper, epoch)
             return params
 
         a, b = train_once(), train_once()

@@ -17,7 +17,7 @@ from oracle_utils import (
 from xreid.data import (
     BatchSampler, BatchSpec, DescriptorSet, FeatureSet, SyntheticSpec, generate, sample_batch,
 )
-from xreid.encoder import EncoderShape, SgdHyper, SgdState, init_params, lr_factor, sgd_step
+from xreid.encoder import EncoderShape, SgdHyper, init_params, lr_factor, sgd_step
 from xreid.losses import HcTriConfig, hetero_centers, loss_hc_tri
 
 
@@ -260,11 +260,11 @@ class TestSgdMatchesReference:
         signed_zeros(params, undecayed, rng)
         arrays = {name: arr.copy() for name, arr in params.items()}
         velocity = {}
-        state = SgdState()
+        momentum = params.zeros_like()
         for epoch in range(4):
             grads = random_grads(params, rng)
             signed_zeros(grads, set(undecayed) & set(params.trainable_names()), rng)
-            sgd_step(params, grads, state, hyper, epoch)
+            sgd_step(params, grads, momentum, hyper, epoch)
             sgd_step_reference(arrays, params.trainable_names(), grads, velocity, hyper,
                                hyper.base_lr * lr_factor(epoch, hyper), shape.gem_p_learnable)
             for name, arr in params.items():
@@ -282,7 +282,7 @@ class TestSgdMatchesReference:
             st.sampled_from([np.nan, np.inf, -np.inf]))
         before = params.buffer.copy()
         arrays = {n: arr.copy() for n, arr in params.items()}
-        got = outcome(lambda: sgd_step(params, grads, SgdState(), hyper, 0))[1]
+        got = outcome(lambda: sgd_step(params, grads, params.zeros_like(), hyper, 0))[1]
         want = outcome(lambda: sgd_step_reference(
             arrays, params.trainable_names(), grads, {}, hyper, hyper.base_lr,
             shape.gem_p_learnable))[1]

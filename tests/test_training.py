@@ -79,10 +79,9 @@ def test_divergence_carries_last_good_params():
         assert np.all(np.isfinite(arr))
 
 
-def test_non_finite_features_diverge_before_the_loss(monkeypatch):
-    # a NaN in the pooled features is a divergence, not a bad FeatureSet
-    cfg = small_config(**{"train.epochs": 2})
-    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+def diverge_in_epoch_1(monkeypatch, cfg, train) -> TrainingDiverged:
+    """Run training with a NaN put into the pooled features of every step
+    after the first epoch; returns the divergence it raises."""
     batches = -(-len(train) // cfg.batch_spec().batch_size)
     forward, steps = training.forward, []
 
@@ -96,8 +95,26 @@ def test_non_finite_features_diverge_before_the_loss(monkeypatch):
     monkeypatch.setattr(training, "forward", forward_nan_in_epoch_1)
     with pytest.raises(TrainingDiverged, match="^non-finite pooled features at epoch 1$") as info:
         run_training(cfg, train)
-    assert info.value.epoch == 1
-    assert np.all(np.isfinite(info.value.last_good.buffer))
+    return info.value
+
+
+def test_non_finite_features_diverge_before_the_loss(monkeypatch):
+    # a NaN in the pooled features is a divergence, not a bad FeatureSet
+    cfg = small_config(**{"train.epochs": 2})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    exc = diverge_in_epoch_1(monkeypatch, cfg, train)
+    assert exc.epoch == 1
+    assert np.all(np.isfinite(exc.last_good.buffer))
+
+
+def test_last_good_is_the_last_full_epoch_bitwise(monkeypatch):
+    # a divergence in epoch 1 carries the parameters that a one-epoch run
+    # returns (epoch 0's warmup rate does not depend on train.epochs)
+    cfg = small_config(**{"train.epochs": 2})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    one_epoch, _ = run_training(small_config(**{"train.epochs": 1}), train)
+    exc = diverge_in_epoch_1(monkeypatch, cfg, train)
+    assert np.array_equal(exc.last_good.buffer, one_epoch.buffer)
 
 
 @pytest.mark.parametrize("overrides", [
