@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import data, seeds
-from .config import ConfigError, ExperimentConfig, _parse_float_list
+from .config import ConfigError, ExperimentConfig, parse_float_list
 from .data import DescriptorSet
 from .encoder import load_checkpoint, save_checkpoint
 from .evaluation import EvalReport, evaluate, similarity_stats, write_report
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             cmd_eval(config, data_dir=args.data, checkpoint=args.checkpoint)
         else:
-            cmd_sweep_margin(config, _parse_float_list(args.rhos), data_dir=args.data)
+            cmd_sweep_margin(config, parse_float_list(args.rhos), data_dir=args.data)
     except (CliError, ConfigError, ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ def _parse_float(s: str) -> float:
     return value
 
 
-def _parse_float_list(s: str) -> tuple[float, ...]:
+def parse_float_list(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(v) for v in s.split(",") if v.strip())
 
 
@@ -96,7 +96,7 @@ SCHEMA: dict[str, tuple] = {
     "batch.p": (int, 4),
     "batch.k": (int, 4),
     "kernel.sigma_squared": (_parse_bandwidth, None),
-    "kernel.mixture_scales": (_parse_float_list, (0.0625, 0.125, 0.25, 0.5)),
+    "kernel.mixture_scales": (parse_float_list, (0.0625, 0.125, 0.25, 0.5)),
     "mmd.estimator": (_parse_choice("biased", "unbiased"), "biased"),
     "mmd.variant": (_parse_choice(*MMD_VARIANTS), "margin_id"),
     "mmd.margin_rho": (_parse_float, 1.4),
@@ -220,4 +220,4 @@ class ExperimentConfig:
         return self._section(SgdHyper, "optim", total_epochs=self.values["train.epochs"])
 
 
-__all__ = ["SCHEMA", "ConfigError", "ExperimentConfig"]
+__all__ = ["SCHEMA", "ConfigError", "ExperimentConfig", "parse_float_list"]

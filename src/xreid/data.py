@@ -17,8 +17,8 @@ built on first use, which the sampler, the per-class losses and the
 evaluator's gallery draws share. Both raise a ``ValueError`` naming the fault
 for labels that are not 1-D or not one per row, a modality other than
 VISIBLE or THERMAL, and a NaN or inf value, so ``cells`` means what the
-labels say; ``select`` takes rows of such a checked set without checking
-them again.
+labels say. ``select`` builds its rows through the same constructor, so
+every set is checked when it is built.
 """
 
 from __future__ import annotations
@@ -62,25 +62,6 @@ def _check_rows(labelled, name: str, axes: tuple[str, ...]) -> None:
         object.__setattr__(labelled, field, array)
 
 
-def _prechecked(cls, values, identities, modalities):
-    """A ``cls`` (:class:`FeatureSet` or :class:`DescriptorSet`) holding the
-    arrays as given, without :func:`_check_rows`: for arrays that already
-    pass it as stored (float64 finite values, 1-D int64 labels, one per
-    row, modalities VISIBLE or THERMAL), such as rows of a checked set."""
-    labelled = object.__new__(cls)
-    vars(labelled).update(zip(cls.__dataclass_fields__, (values, identities, modalities)))
-    return labelled
-
-
-def _select(labelled, values, index):
-    # rows of a checked set pass the checks as they are: only the index's
-    # shape can break a set, and then only its labels can show it
-    identities = labelled.identities[index]
-    if identities.ndim != 1:
-        raise ValueError(f"select takes a 1-D row index or mask, got {np.shape(index)}")
-    return _prechecked(type(labelled), values[index], identities, labelled.modalities[index])
-
-
 @dataclass(frozen=True)
 class FeatureSet:
     """A batch of feature vectors with parallel identity and modality labels."""
@@ -96,10 +77,9 @@ class FeatureSet:
         return len(self.features)
 
     def select(self, index: np.ndarray) -> "FeatureSet":
-        """The rows at a 1-D integer ``index`` or boolean mask. They come from
-        this checked set, so the arrays are what the validating constructor
-        would store, and they are not checked again."""
-        return _select(self, self.features, index)
+        """The rows at a 1-D integer ``index`` or boolean mask, as a new set
+        built, and so checked, by the validating constructor."""
+        return FeatureSet(self.features[index], self.identities[index], self.modalities[index])
 
     @cached_property
     def cells(self) -> CellIndex:
@@ -127,8 +107,8 @@ class DescriptorSet:
         return len(self.descriptors)
 
     def select(self, index: np.ndarray) -> "DescriptorSet":
-        """The rows at ``index``, unchecked, as :meth:`FeatureSet.select`."""
-        return _select(self, self.descriptors, index)
+        """The rows at ``index``, checked, as :meth:`FeatureSet.select`."""
+        return DescriptorSet(self.descriptors[index], self.identities[index], self.modalities[index])
 
     cells = FeatureSet.cells
 

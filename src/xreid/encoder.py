@@ -620,7 +620,9 @@ def load_checkpoint(path) -> EncoderParams:
     is not a JSON object holding a ``shape`` of :class:`EncoderShape` fields
     and an ``arrays`` table of ``{name, shape}`` entries, on magic/version
     mismatch, on an array table that does not match the declared
-    architecture, and on a truncated file or bytes after the last blob.
+    architecture, and on a truncated file or bytes after the last blob. It
+    also refuses values that training never writes: a NaN or inf (naming
+    its array), a negative BN running variance and a GeM power below 1.
     """
     with open(path, "rb") as fh:
         try:
@@ -650,6 +652,13 @@ def load_checkpoint(path) -> EncoderParams:
         if trailing:
             raise ValueError(f"{path}: {trailing} trailing bytes after the last array blob")
     params.buffer[:] = np.frombuffer(blob, dtype="<f8")
+    finite = np.isfinite(params.buffer)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite value in {params.name_at(int(np.argmin(finite)))!r}")
+    if (params.bn_running_var < 0).any():
+        raise ValueError(f"{path}: negative value in 'bn.running_var'")
+    if params.gem_p < 1:
+        raise ValueError(f"{path}: 'gem_p' is {float(params.gem_p)!r}, below 1")
     return params
 
 

@@ -201,8 +201,9 @@ def similarity_stats(test: FeatureSet) -> SimilarityStats:
     )
 
 
-def write_report(path, report: EvalReport, stats: SimilarityStats | None = None) -> None:
-    """Write the delimited evaluation report (6 decimal places throughout)."""
+def write_report(path, report: EvalReport, stats: SimilarityStats) -> None:
+    """Write the delimited evaluation report (6 decimal places throughout),
+    the similarity statistics' header and row last."""
 
     def row(label, cmc, map_value):
         ranks = ",".join(f"{_at_rank(cmc, k):.6f}" for k in RANK_COLUMNS)
@@ -213,12 +214,11 @@ def write_report(path, report: EvalReport, stats: SimilarityStats | None = None)
         for t in range(report.trials):
             fh.write(row(t + 1, report.per_trial_cmc[t], report.per_trial_map[t]))
         fh.write(row("mean", report.cmc, report.map))
-        if stats is not None:
-            fh.write("intra_mean,intra_std,inter_mean,inter_std\n")
-            fh.write(
-                f"{stats.intra_mean:.6f},{stats.intra_std:.6f},"
-                f"{stats.inter_mean:.6f},{stats.inter_std:.6f}\n"
-            )
+        fh.write("intra_mean,intra_std,inter_mean,inter_std\n")
+        fh.write(
+            f"{stats.intra_mean:.6f},{stats.intra_std:.6f},"
+            f"{stats.inter_mean:.6f},{stats.inter_std:.6f}\n"
+        )
 
 
 __all__ = [

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeds
 from .config import ExperimentConfig
-from .data import BatchSampler, DescriptorSet, FeatureSet, _prechecked
+from .data import BatchSampler, DescriptorSet, FeatureSet
 from .encoder import EncoderParams, backward, embed, forward, init_params, sgd_step
 from .losses import loss_total
 
@@ -61,7 +61,17 @@ def run_training(
     config: ExperimentConfig,
     train_set: DescriptorSet,
 ) -> tuple[EncoderParams, list[EpochStats]]:
-    """Train an encoder on the given set under the config; returns params + log."""
+    """Train an encoder on the given set under the config; returns params + log.
+
+    A set with an empty (identity, modality) cell is refused before the
+    first batch, not when the sampler first draws that identity.
+    """
+    empty = train_set.cells.first_empty()
+    if empty is not None:
+        identity, modality = empty
+        raise ValueError(
+            f"train split: identity {identity} has no {'thermal' if modality else 'visible'} samples"
+        )
     classes = train_set.cells.ids
     shape = config.encoder_shape(num_classes=len(classes))
     params = init_params(shape, seeds.stream(config.seed, "init"))
@@ -90,15 +100,16 @@ def run_training(
         table = np.empty((batches, 6))
         for step in range(batches):
             batch = sampler.next_batch()
-            tape = forward(params, batch.descriptors, batch.modalities, train=True, out=tape)
+            # a non-finite pooled feature or logit raises TrainingDiverged
+            # below, which says what numpy's warnings would
+            with np.errstate(over="ignore", invalid="ignore"):
+                tape = forward(params, batch.descriptors, batch.modalities, train=True, out=tape)
             if not np.isfinite(tape.pooled).all():
                 raise TrainingDiverged(
                     f"non-finite pooled features at epoch {epoch}", last_good, epoch
                 )
-            # the batch's labels are checked and the features were just now
-            feats = _prechecked(FeatureSet, tape.pooled, batch.identities, batch.modalities)
             bundle = loss_total(
-                feats,
+                FeatureSet(tape.pooled, batch.identities, batch.modalities),
                 tape.logits,
                 np.searchsorted(classes, batch.identities),
                 kernel_spec=kernel_spec,
@@ -136,15 +147,13 @@ def write_log(path, stats: list[EpochStats]) -> None:
             fh.write(row.row() + "\n")
 
 
-def encode_dataset(
-    params: EncoderParams,
-    dataset: DescriptorSet,
-    features: str = "pooled",
-    chunk_rows: int = 256,
-) -> FeatureSet:
+CHUNK_ROWS = 256  # descriptor rows per encode_dataset chunk
+
+
+def encode_dataset(params: EncoderParams, dataset: DescriptorSet, features: str = "pooled") -> FeatureSet:
     """Eval-mode features of a whole dataset, in chunks.
 
-    A chunk holds ``chunk_rows // H`` samples (at least one) of the split's H
+    A chunk holds ``CHUNK_ROWS // H`` samples (at least one) of the split's H
     descriptor rows each: 64 samples at the default H = 4, whose activations
     take about 128 KB per 64-wide layer. Each chunk's features (see
     :func:`~xreid.encoder.embed`) are written into one preallocated (N, D)
@@ -153,9 +162,7 @@ def encode_dataset(
     """
     if features not in ("pooled", "bn"):
         raise ValueError(f"features must be 'pooled' or 'bn', got {features!r}")
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be a positive row count, got {chunk_rows}")
-    chunk = max(1, chunk_rows // dataset.descriptors.shape[1])
+    chunk = max(1, CHUNK_ROWS // dataset.descriptors.shape[1])
     out = np.empty((len(dataset), params.shape.embedding_dim))
     for start in range(0, len(dataset), chunk):
         sl = slice(start, start + chunk)

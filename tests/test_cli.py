@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xreid import counters
+from xreid import counters, seeds
 from xreid.cli import (
     _sha256,
     cmd_eval,
@@ -16,7 +16,13 @@ from xreid.cli import (
     main,
 )
 from xreid.config import ExperimentConfig
-from xreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, init_params, save_checkpoint
+from xreid.encoder import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def tiny_config(out_dir, **overrides):
@@ -196,6 +202,33 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err == "error: total_epochs must be >= 0, got -3\n"
         assert not (tmp_path / "train" / "checkpoint.bin").exists()
+
+    def test_diverging_train_is_one_error_line(self, tmp_path, capsys):
+        # numpy's overflow warnings in the diverging forward pass are not
+        # printed: the one error line reports them, and the parameters of the
+        # last finished epoch (here the initial ones) are written
+        cfg = tiny_config(tmp_path, **{"optim.base_lr": 1e6})
+        cmd_generate(cfg)
+        cfg.write(tmp_path / "tiny.conf")
+        assert main(["train", "--config", str(tmp_path / "tiny.conf")]) == 1
+        checkpoint = tmp_path / "train" / "checkpoint.bin"
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite ") and err.count("\n") == 1, err
+        assert err.endswith(f"; last-good checkpoint written to {checkpoint}\n")
+        initial = init_params(cfg.encoder_shape(num_classes=8), seeds.stream(cfg.seed, "init"))
+        assert load_checkpoint(checkpoint).buffer.tobytes() == initial.buffer.tobytes()
+
+    def test_checkpoint_value_training_never_writes_is_one_error_line(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        cmd_generate(cfg)
+        params = init_params(cfg.encoder_shape(num_classes=8), np.random.default_rng(0))
+        params["shared.0.w"][0, 0] = np.nan
+        checkpoint = tmp_path / "nan.bin"
+        save_checkpoint(params, checkpoint)
+        cfg.write(tmp_path / "tiny.conf")
+        assert main(["eval", "--config", str(tmp_path / "tiny.conf"), "--checkpoint", str(checkpoint)]) == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}: non-finite value in 'shared.0.w'\n"
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("header, message", [
         (42, "not a JSON object"),

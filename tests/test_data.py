@@ -235,8 +235,8 @@ class TestSampleBatch:
             assert np.array_equal(part.cells.cell, cell_index(part.identities, part.modalities).cell)
 
     def test_select_stores_what_the_constructor_would(self, train):
-        # select skips the checks; its arrays equal the validating
-        # constructor's, for masks and integer indices alike
+        # select's arrays equal the validating constructor's, for masks and
+        # integer indices alike
         features = FeatureSet(train.descriptors[:, 0], train.identities, train.modalities)
         mask = train.identities % 3 != 0
         for labelled, name in ((train, "descriptors"), (features, "features")):
@@ -249,9 +249,21 @@ class TestSampleBatch:
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert np.array_equal(got.cells.order, want.cells.order)
+            # a scalar or 2-D index gives the values the wrong number of axes
             for index in (3, np.zeros((2, 2), dtype=int)):
-                with pytest.raises(ValueError, match="1-D row index or mask"):
+                with pytest.raises(ValueError, match=f"{name} must be"):
                     labelled.select(index)
+
+    def test_select_checks_values_changed_in_place(self, train):
+        # a set's arrays can still be written after it was built: select
+        # checks the rows it takes, so a NaN written there is refused
+        rows = train.select(np.arange(10))  # a copy, so the fixture stays as it is
+        features = FeatureSet(rows.descriptors[:, 1], rows.identities, rows.modalities)
+        for labelled, name in ((rows, "descriptors"), (features, "features")):
+            getattr(labelled, name)[2].flat[0] = np.nan
+            with pytest.raises(ValueError, match=rf"{name} hold non-finite values \(NaN or inf\)"):
+                labelled.select([1, 2])
+            labelled.select([0, 1])  # rows without the NaN pass
 
     def test_sampler_stream_and_epoch_size(self, train):
         sampler = BatchSampler(train, BatchSpec(p=4, k=4), np.random.default_rng(5))

@@ -586,13 +586,40 @@ class TestCheckpoint:
         size = len(params.buffer)
         # any float64 bits, NaN payloads, infinities and -0.0 included
         bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
-        params.buffer[:] = np.array(bits, dtype=np.uint64).view(np.float64)
+        buf = params.buffer
+        buf[:] = np.array(bits, dtype=np.uint64).view(np.float64)
+        if data.draw(st.booleans(), label="as training writes"):
+            # finite, a running variance >= 0 (-0.0 too) and a GeM power >= 1
+            buf[~np.isfinite(buf)] = 0.0
+            np.negative(params.bn_running_var, out=params.bn_running_var,
+                        where=params.bn_running_var < 0)
+            params.gem_p[...] = max(float(params.gem_p), 1.0)
+        refused = not np.isfinite(buf).all() or (params.bn_running_var < 0).any() or params.gem_p < 1
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "checkpoint.bin"
             save_checkpoint(params, path)
+            if refused:
+                with pytest.raises(ValueError, match="checkpoint.bin: "):
+                    load_checkpoint(path)
+                return
             loaded = load_checkpoint(path)
         assert loaded.shape == shape
         assert loaded.buffer.tobytes() == params.buffer.tobytes()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("shared.0.w", np.nan, "non-finite value in 'shared.0.w'"),
+        ("bn.running_var", -1.0, "negative value in 'bn.running_var'"),
+        ("gem_p", 0.5, "'gem_p' is 0.5, below 1"),
+    ], ids=["nan-weight", "negative-running-var", "gem-p-below-one"])
+    def test_value_training_never_writes_rejected(self, tmp_path, name, value, message):
+        # training keeps every value finite, the running variance >= 0 and
+        # the GeM power >= 1 (sgd_step clamps it, EncoderShape refuses less)
+        params = small_params(np.random.default_rng(19))
+        params[name].flat[-1] = value
+        path = tmp_path / "h.bin"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match=rf"h\.bin: {message}$"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -9,6 +9,7 @@ from xreid import evaluation
 from xreid.evaluation import (
     RANK_COLUMNS,
     EvalReport,
+    SimilarityStats,
     cmc_map,
     evaluate,
     similarity_matrix,
@@ -316,8 +317,6 @@ class TestReportFile:
             per_trial_cmc=np.array([[0.5, 0.5, 1.0], [0.5, 1.0, 1.0]]),
             per_trial_map=np.array([0.6, 0.7578024690]),
         )
-        from xreid.evaluation import SimilarityStats
-
         stats = SimilarityStats(0.9, 0.01, 0.2, 0.05)
         path = tmp_path / "report.csv"
         write_report(path, report, stats)
@@ -340,8 +339,9 @@ class TestReportFile:
             with pytest.raises(ValueError, match=f"rank k must be >= 1, got {k}"):
                 report.rank(k)
         # the report's rank columns are the same lookup
-        write_report(tmp_path / "report.csv", report)
-        mean = (tmp_path / "report.csv").read_text().splitlines()[-1].split(",")
+        write_report(tmp_path / "report.csv", report, SimilarityStats(0.9, 0.01, 0.2, 0.05))
+        mean = (tmp_path / "report.csv").read_text().splitlines()[1 + report.trials].split(",")
+        assert mean[0] == "mean"
         assert mean[1:-1] == [f"{report.rank(k):.6f}" for k in RANK_COLUMNS]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from xreid import seeds, training
 from xreid.config import ExperimentConfig
-from xreid.data import SyntheticSpec, generate
+from xreid.data import THERMAL, BatchSampler, SyntheticSpec, generate
 from xreid.encoder import EncoderShape, embed, init_params
 from xreid.training import (
     LOG_COLUMNS,
@@ -77,6 +77,20 @@ def test_divergence_carries_last_good_params():
     assert info.value.last_good is not None
     for _, arr in info.value.last_good.items():
         assert np.all(np.isfinite(arr))
+
+
+def test_empty_cell_refused_before_the_first_batch(monkeypatch):
+    # the sampler fails only once it draws the identity missing a modality,
+    # some steps in and with no checkpoint; the split is refused up front
+    cfg = small_config(**{"batch.p": 2})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    last = int(train.identities.max())
+    train = train.select(~((train.identities == last) & (train.modalities == THERMAL)))
+    next_batch, calls = BatchSampler.next_batch, []
+    monkeypatch.setattr(BatchSampler, "next_batch", lambda self: calls.append(1) or next_batch(self))
+    with pytest.raises(ValueError, match=f"^train split: identity {last} has no thermal samples$"):
+        run_training(cfg, train)
+    assert calls == []
 
 
 def diverge_in_epoch_1(monkeypatch, cfg, train) -> TrainingDiverged:
@@ -200,7 +214,7 @@ def test_consecutive_pk16_steps_hold_one_tape(monkeypatch):
     assert grew < 0.01 * tape_bytes and peak < 0.5 * tape_bytes
 
 
-def test_encode_dataset_keeps_one_chunk_alive():
+def test_encode_dataset_keeps_one_chunk_alive(monkeypatch):
     # the output array plus one chunk's features pass; holding a chunk's
     # activations while the next one runs would add a second chunk
     _, test = generate(SyntheticSpec(num_identities=20, samples_per_identity=60),
@@ -210,8 +224,8 @@ def test_encode_dataset_keeps_one_chunk_alive():
     _, one_chunk = _traced_peak(
         lambda: embed(params, test.descriptors[:chunk], test.modalities[:chunk])
     )
-    h = test.descriptors.shape[1]
-    feats, peak = _traced_peak(lambda: encode_dataset(params, test, chunk_rows=chunk * h))
+    monkeypatch.setattr(training, "CHUNK_ROWS", chunk * test.descriptors.shape[1])
+    feats, peak = _traced_peak(lambda: encode_dataset(params, test))
     assert len(test) == 4 * 2 * 60
     assert peak <= feats.features.nbytes + 1.1 * one_chunk
 
@@ -236,7 +250,7 @@ def test_encode_dataset_default_chunk_stays_small():
         assert peak < feats.features.nbytes + 6 * one_layer
 
 
-def test_encode_dataset_bitwise_for_any_chunk():
+def test_encode_dataset_bitwise_for_any_chunk(monkeypatch):
     # embeddings.csv's bytes rest on every chunking giving the same bits
     test, params = _default_split_and_params()
     h = test.descriptors.shape[1]
@@ -244,24 +258,20 @@ def test_encode_dataset_bitwise_for_any_chunk():
         want = embed(params, test.descriptors, test.modalities, features == "bn")
         # 1 sample (1 and 7 rows), 7 samples, the default and the whole split
         for rows in (1, 7, 7 * h, 256, len(test) * h):
-            got = encode_dataset(params, test, features=features, chunk_rows=rows)
+            monkeypatch.setattr(training, "CHUNK_ROWS", rows)
+            got = encode_dataset(params, test, features=features)
             assert np.array_equal(got.features, want), (features, rows)
 
 
-@pytest.mark.parametrize("rows", [0, -1])
-def test_encode_dataset_rejects_non_positive_chunk(rows):
-    test, params = _default_split_and_params()
-    with pytest.raises(ValueError, match="chunk_rows must be a positive row count"):
-        encode_dataset(params, test, chunk_rows=rows)
-
-
 @pytest.mark.slow
-def test_encode_dataset_matches_forward_chunking():
+def test_encode_dataset_matches_forward_chunking(monkeypatch):
     cfg = small_config()
     train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
     params, _ = run_training(cfg, train)
-    whole = encode_dataset(params, test, chunk_rows=10_000)
-    chunked = encode_dataset(params, test, chunk_rows=7)
+    monkeypatch.setattr(training, "CHUNK_ROWS", 10_000)
+    whole = encode_dataset(params, test)
+    monkeypatch.setattr(training, "CHUNK_ROWS", 7)
+    chunked = encode_dataset(params, test)
     assert np.array_equal(whole.features, chunked.features)
     bn = encode_dataset(params, test, features="bn")
     assert bn.features.shape == whole.features.shape
