@@ -14,8 +14,9 @@ import numpy as np
 
 from xreid import ExperimentConfig, seeds
 from xreid.data import THERMAL, generate
+from xreid.encoder import encode_dataset
 from xreid.evaluation import evaluate, similarity_stats
-from xreid.training import encode_dataset, run_training
+from xreid.training import run_training
 
 cfg = ExperimentConfig.defaults()
 cfg.values.update({

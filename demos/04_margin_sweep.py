@@ -9,8 +9,9 @@ Run: python demos/04_margin_sweep.py
 
 from xreid import ExperimentConfig, seeds
 from xreid.data import THERMAL, generate
+from xreid.encoder import encode_dataset
 from xreid.evaluation import evaluate
-from xreid.training import encode_dataset, run_training
+from xreid.training import run_training
 
 cfg = ExperimentConfig.defaults()
 cfg.values.update({

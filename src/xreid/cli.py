@@ -26,10 +26,10 @@ from pathlib import Path
 from . import data, seeds
 from .config import ConfigError, ExperimentConfig, parse_float_list
 from .data import DescriptorSet
-from .encoder import load_checkpoint, save_checkpoint
+from .encoder import encode_dataset, load_checkpoint, save_checkpoint
 from .evaluation import EvalReport, evaluate, similarity_stats, write_report
 from .mmd import MarginConfig
-from .training import TrainingDiverged, encode_dataset, run_training, write_log
+from .training import TrainingDiverged, run_training, write_log
 
 MANIFEST_VERSION = 1
 
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
             cmd_eval(config, data_dir=args.data, checkpoint=args.checkpoint)
         else:
             cmd_sweep_margin(config, parse_float_list(args.rhos), data_dir=args.data)
-    except (CliError, ConfigError, ValueError, FloatingPointError, OSError) as exc:
+    except (CliError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .data import BatchSpec, SyntheticSpec
 from .encoder import EncoderShape, SgdHyper
-from .kernels import KernelSpec
+from .kernels import DEFAULT_MIXTURE_SCALES, KernelSpec
 from .losses import MMD_VARIANTS, HcTriConfig, LossWeights
 from .mmd import MarginConfig
 
@@ -77,10 +77,6 @@ def _fmt(value) -> str:
 
 
 # key -> (parser, default). Order defines the canonical resolved layout.
-# The experiment-level kernel mixture is deliberately narrower than the
-# library default: with median-heuristic bandwidths, wide scales cap the
-# per-class MMD^2 well below the default margin rho and the gate would never
-# open (see the margin loss docs).
 SCHEMA: dict[str, tuple] = {
     "seed": (int, 0),
     "output.dir": (str, "runs/default"),
@@ -96,7 +92,7 @@ SCHEMA: dict[str, tuple] = {
     "batch.p": (int, 4),
     "batch.k": (int, 4),
     "kernel.sigma_squared": (_parse_bandwidth, None),
-    "kernel.mixture_scales": (parse_float_list, (0.0625, 0.125, 0.25, 0.5)),
+    "kernel.mixture_scales": (parse_float_list, DEFAULT_MIXTURE_SCALES),
     "mmd.estimator": (_parse_choice("biased", "unbiased"), "biased"),
     "mmd.variant": (_parse_choice(*MMD_VARIANTS), "margin_id"),
     "mmd.margin_rho": (_parse_float, 1.4),

@@ -13,7 +13,8 @@ the pooled features, BN features and logits and what ``backward`` replays
 to produce exact gradients for every parameter, including BN batch
 statistics in training mode and (optionally) the GeM power. Training
 updates use momentum SGD with linear warmup and two step decays, applied to
-the whole buffer at once.
+the whole buffer at once. ``encode_dataset`` is the eval pass over a whole
+descriptor set: its pooled or BN features, chunk by chunk, with no tape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import THERMAL, VISIBLE
+from .data import THERMAL, VISIBLE, DescriptorSet, FeatureSet
 
 CHECKPOINT_MAGIC = "xreid-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -390,19 +391,34 @@ def forward(
     return tape
 
 
-def embed(params: EncoderParams, descriptors, modalities, bn: bool = False) -> np.ndarray:
-    """Eval-mode features of a batch: the pooled ones, or with ``bn`` the
-    ones batch-normalized by the running statistics.
+CHUNK_ROWS = 256  # descriptor rows per encode_dataset chunk
 
-    The values equal ``forward(..., train=False)``'s ``pooled`` and
-    ``bn_features`` bit for bit; no logits are computed and no layer's
-    activations are kept for a backward pass.
+
+def encode_dataset(params: EncoderParams, dataset: DescriptorSet, features: str = "pooled") -> FeatureSet:
+    """Eval-mode features of a whole dataset: the pooled ones, or with
+    ``features="bn"`` the ones batch-normalized by the running statistics.
+
+    They equal ``forward(..., train=False)``'s ``pooled`` and
+    ``bn_features`` bit for bit, with no logits and no tape. A chunk holds
+    ``CHUNK_ROWS // H`` samples (at least one) of H descriptor rows each: 64
+    at the default H = 4, whose activations take about 128 KB per 64-wide
+    layer. Each chunk is pooled (and normalized in place) straight into its
+    rows of one (N, D) array, so only one chunk's activations are alive at
+    a time. The pass works row by row, so the features do not depend on the
+    chunk size.
     """
-    flat, h, vis_rows, th_rows = _rows(params, descriptors, modalities)
-    pooled = _pool(params, flat, h, (vis_rows, th_rows))
-    if not bn:
-        return pooled
-    return _batch_norm(params, pooled, params.bn_running_mean, params.bn_running_var)[2]
+    if features not in ("pooled", "bn"):
+        raise ValueError(f"features must be 'pooled' or 'bn', got {features!r}")
+    chunk = max(1, CHUNK_ROWS // dataset.descriptors.shape[1])
+    out = np.empty((len(dataset), params.shape.embedding_dim))
+    for start in range(0, len(dataset), chunk):
+        sl = slice(start, start + chunk)
+        flat, h, vis_rows, th_rows = _rows(params, dataset.descriptors[sl], dataset.modalities[sl])
+        pooled = _pool(params, flat, h, (vis_rows, th_rows), pooled=out[sl])
+        if features == "bn":
+            _batch_norm(params, pooled, params.bn_running_mean, params.bn_running_var,
+                        xhat=pooled, out=pooled)
+    return FeatureSet(out, dataset.identities, dataset.modalities)
 
 
 def _stack_backward(layers, record, d_out, grad_layers, input_grad=True):
@@ -622,7 +638,8 @@ def load_checkpoint(path) -> EncoderParams:
     mismatch, on an array table that does not match the declared
     architecture, and on a truncated file or bytes after the last blob. It
     also refuses values that training never writes: a NaN or inf (naming
-    its array), a negative BN running variance and a GeM power below 1.
+    its array), a negative BN running variance, a GeM power below 1 and a
+    fixed GeM power other than the header's ``gem_p``.
     """
     with open(path, "rb") as fh:
         try:
@@ -659,6 +676,10 @@ def load_checkpoint(path) -> EncoderParams:
         raise ValueError(f"{path}: negative value in 'bn.running_var'")
     if params.gem_p < 1:
         raise ValueError(f"{path}: 'gem_p' is {float(params.gem_p)!r}, below 1")
+    if not shape.gem_p_learnable and params.gem_p != shape.gem_p:
+        raise ValueError(
+            f"{path}: 'gem_p' is {float(params.gem_p)!r}, but the header fixes it at {shape.gem_p!r}"
+        )
     return params
 
 
@@ -670,7 +691,7 @@ __all__ = [
     "SgdHyper",
     "init_params",
     "forward",
-    "embed",
+    "encode_dataset",
     "backward",
     "lr_factor",
     "sgd_step",

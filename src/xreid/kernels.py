@@ -28,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Default mixture scales: five kernels spanning two octaves either side of
-#: the base bandwidth, a common multi-kernel convention.
-DEFAULT_MIXTURE_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+#: Default mixture scales, the config's too. Deliberately narrow: with median-heuristic
+#: bandwidths, wide scales cap the per-class MMD^2 well below the default margin rho
+#: and the gate would never open (see the margin loss docs).
+DEFAULT_MIXTURE_SCALES = (0.0625, 0.125, 0.25, 0.5)
 
 
 @dataclass(frozen=True)

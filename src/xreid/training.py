@@ -1,11 +1,12 @@
-"""Training loop: identity-balanced batches, total loss, momentum SGD.
+"""Training loop and its log: identity-balanced batches, total loss, momentum SGD.
 
 All randomness is drawn from named streams of the experiment's root seed, so
 two runs from the same resolved config produce bitwise-identical parameters.
 Each epoch fills one table with a row per step (the four loss terms, the
 margin-gate survivors and the mean per-class MMD^2, NaN where the loss has no
 gate); its column means and the epoch's wall-clock seconds make the
-:class:`EpochStats` row of the training log, whose columns are its fields.
+:class:`EpochStats` row of the training log, whose columns are its fields. A
+non-finite pooled feature, loss or gradient raises :class:`TrainingDiverged`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 from . import seeds
 from .config import ExperimentConfig
 from .data import BatchSampler, DescriptorSet, FeatureSet
-from .encoder import EncoderParams, backward, embed, forward, init_params, sgd_step
+from .encoder import EncoderParams, backward, forward, init_params, sgd_step
 from .losses import loss_total
 
+
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss goes non-finite; carries the last good parameters."""
+    """Raised when training goes non-finite; carries the last good parameters."""
 
     def __init__(self, message: str, last_good: EncoderParams, epoch: int):
         super().__init__(message)
@@ -124,7 +126,10 @@ def run_training(
                     f"non-finite loss {bundle.total} at epoch {epoch}", last_good, epoch
                 )
             backward(tape, bundle.grad_pooled, bundle.grad_logits, out=grads)
-            sgd_step(params, grads, velocity, hyper, epoch)
+            try:  # a non-finite gradient aborts the step before any change
+                sgd_step(params, grads, velocity, hyper, epoch)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}", last_good, epoch) from None
 
             mmd2 = bundle.class_mmd2
             table[step] = (
@@ -147,29 +152,6 @@ def write_log(path, stats: list[EpochStats]) -> None:
             fh.write(row.row() + "\n")
 
 
-CHUNK_ROWS = 256  # descriptor rows per encode_dataset chunk
-
-
-def encode_dataset(params: EncoderParams, dataset: DescriptorSet, features: str = "pooled") -> FeatureSet:
-    """Eval-mode features of a whole dataset, in chunks.
-
-    A chunk holds ``CHUNK_ROWS // H`` samples (at least one) of the split's H
-    descriptor rows each: 64 samples at the default H = 4, whose activations
-    take about 128 KB per 64-wide layer. Each chunk's features (see
-    :func:`~xreid.encoder.embed`) are written into one preallocated (N, D)
-    array, so only one chunk's activations are alive at a time. The pass
-    works row by row, so the features do not depend on the chunk size.
-    """
-    if features not in ("pooled", "bn"):
-        raise ValueError(f"features must be 'pooled' or 'bn', got {features!r}")
-    chunk = max(1, CHUNK_ROWS // dataset.descriptors.shape[1])
-    out = np.empty((len(dataset), params.shape.embedding_dim))
-    for start in range(0, len(dataset), chunk):
-        sl = slice(start, start + chunk)
-        out[sl] = embed(params, dataset.descriptors[sl], dataset.modalities[sl], features == "bn")
-    return FeatureSet(out, dataset.identities, dataset.modalities)
-
-
 __all__ = [
     "LOG_COLUMNS",
     "TrainingDiverged",
@@ -177,5 +159,4 @@ __all__ = [
     "class_index",
     "run_training",
     "write_log",
-    "encode_dataset",
 ]

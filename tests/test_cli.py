@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xreid import counters, seeds
+from xreid import counters, seeds, training
 from xreid.cli import (
     _sha256,
     cmd_eval,
@@ -218,6 +218,31 @@ class TestGenerate:
         initial = init_params(cfg.encoder_shape(num_classes=8), seeds.stream(cfg.seed, "init"))
         assert load_checkpoint(checkpoint).buffer.tobytes() == initial.buffer.tobytes()
 
+    def test_non_finite_gradient_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # sgd_step refuses the gradient before any entry changes; train
+        # reports that as a divergence and writes the last-good checkpoint
+        cfg = tiny_config(tmp_path)
+        cmd_generate(cfg)
+        cfg.write(tmp_path / "tiny.conf")
+        backward, steps = training.backward, []
+
+        def backward_nan_at_step_4(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            steps.append(1)
+            if len(steps) == 4:
+                grads["specific_visible.0.w"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", backward_nan_at_step_4)
+        assert main(["train", "--config", str(tmp_path / "tiny.conf")]) == 1
+        checkpoint = tmp_path / "train" / "checkpoint.bin"
+        assert capsys.readouterr().err == (
+            "error: non-finite gradient in 'specific_visible.0.w': 1 of 64 entries at epoch 0; "
+            f"last-good checkpoint written to {checkpoint}\n"
+        )
+        initial = init_params(cfg.encoder_shape(num_classes=8), seeds.stream(cfg.seed, "init"))
+        assert load_checkpoint(checkpoint).buffer.tobytes() == initial.buffer.tobytes()
+
     def test_checkpoint_value_training_never_writes_is_one_error_line(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         cmd_generate(cfg)
@@ -228,6 +253,21 @@ class TestGenerate:
         cfg.write(tmp_path / "tiny.conf")
         assert main(["eval", "--config", str(tmp_path / "tiny.conf"), "--checkpoint", str(checkpoint)]) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}: non-finite value in 'shared.0.w'\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_checkpoint_fixed_gem_p_moved_is_one_error_line(self, tmp_path, capsys):
+        # the header fixes the GeM power at 3.0, and training never moves it
+        cfg = tiny_config(tmp_path)
+        cmd_generate(cfg)
+        params = init_params(cfg.encoder_shape(num_classes=8), np.random.default_rng(0))
+        params.gem_p[...] = 7.5
+        checkpoint = tmp_path / "p.bin"
+        save_checkpoint(params, checkpoint)
+        cfg.write(tmp_path / "tiny.conf")
+        assert main(["eval", "--config", str(tmp_path / "tiny.conf"), "--checkpoint", str(checkpoint)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: 'gem_p' is 7.5, but the header fixes it at 3.0\n"
+        )
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("header, message", [

@@ -172,8 +172,6 @@ FIELDS = [
         ("mmd.margin_rho", MarginConfig, "rho", ExperimentConfig.margin),
     )
 ]
-# the experiment's kernel mixture is narrower than the library's (see SCHEMA)
-DEFAULTS_APART = {"kernel.mixture_scales"}
 
 
 def other_value(default):
@@ -206,7 +204,4 @@ class TestSections:
         pytest.param(*p.values[:3], id=p.id) for p in FIELDS if field_default(*p.values[1:3]) is not MISSING
     ])
     def test_field_default_is_schema_default(self, key, cls, field):
-        if key in DEFAULTS_APART:
-            assert field_default(cls, field) != SCHEMA[key][1]
-        else:
-            assert field_default(cls, field) == SCHEMA[key][1]
+        assert field_default(cls, field) == SCHEMA[key][1]

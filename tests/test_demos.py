@@ -9,13 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SLOW = {"04_margin_sweep.py"}  # trains one model per margin value
 
 
-@pytest.mark.parametrize(
-    "demo",
-    [pytest.param(d, id=d.name, marks=[pytest.mark.slow] if d.name in SLOW else []) for d in DEMOS],
-)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

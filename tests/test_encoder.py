@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle_utils import fd_gradient, gem_pool, rel_error
-from xreid.data import FeatureSet, THERMAL, VISIBLE
+from xreid.data import DescriptorSet, FeatureSet, THERMAL, VISIBLE
 from xreid.encoder import (
     EncoderParams,
     _pow,
     EncoderShape,
     SgdHyper,
     backward,
-    embed,
+    encode_dataset,
     forward,
     init_params,
     load_checkpoint,
@@ -196,10 +196,11 @@ class TestForward:
         params = small_params(rng)
         params.bn_running_mean[...] = rng.standard_normal(params.bn_running_mean.shape)
         params.bn_running_var[...] = rng.uniform(0.5, 2.0, params.bn_running_var.shape)
-        descriptors, modalities, _ = small_batch(rng)
-        out = forward(params, descriptors, modalities, train=False)
-        assert np.array_equal(embed(params, descriptors, modalities), out.pooled)
-        assert np.array_equal(embed(params, descriptors, modalities, bn=True), out.bn_features)
+        descriptors, modalities, identities = small_batch(rng)
+        batch = DescriptorSet(descriptors, identities, modalities)
+        out = forward(params, batch.descriptors, batch.modalities, train=False)
+        assert np.array_equal(encode_dataset(params, batch).features, out.pooled)
+        assert np.array_equal(encode_dataset(params, batch, features="bn").features, out.bn_features)
 
     def test_same_modality_permutation_permutes_pooled(self):
         rng = np.random.default_rng(5)
@@ -593,8 +594,9 @@ class TestCheckpoint:
             buf[~np.isfinite(buf)] = 0.0
             np.negative(params.bn_running_var, out=params.bn_running_var,
                         where=params.bn_running_var < 0)
-            params.gem_p[...] = max(float(params.gem_p), 1.0)
-        refused = not np.isfinite(buf).all() or (params.bn_running_var < 0).any() or params.gem_p < 1
+            params.gem_p[...] = max(float(params.gem_p), 1.0) if shape.gem_p_learnable else shape.gem_p
+        refused = (not np.isfinite(buf).all() or (params.bn_running_var < 0).any() or params.gem_p < 1
+                   or (not shape.gem_p_learnable and params.gem_p != shape.gem_p))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "checkpoint.bin"
             save_checkpoint(params, path)
@@ -610,10 +612,12 @@ class TestCheckpoint:
         ("shared.0.w", np.nan, "non-finite value in 'shared.0.w'"),
         ("bn.running_var", -1.0, "negative value in 'bn.running_var'"),
         ("gem_p", 0.5, "'gem_p' is 0.5, below 1"),
-    ], ids=["nan-weight", "negative-running-var", "gem-p-below-one"])
+        ("gem_p", 7.5, r"'gem_p' is 7\.5, but the header fixes it at 3\.0"),
+    ], ids=["nan-weight", "negative-running-var", "gem-p-below-one", "fixed-gem-p-moved"])
     def test_value_training_never_writes_rejected(self, tmp_path, name, value, message):
         # training keeps every value finite, the running variance >= 0 and
-        # the GeM power >= 1 (sgd_step clamps it, EncoderShape refuses less)
+        # the GeM power >= 1 (sgd_step clamps it, EncoderShape refuses less);
+        # a fixed power has no gradient and no decay, so it stays the header's
         params = small_params(np.random.default_rng(19))
         params[name].flat[-1] = value
         path = tmp_path / "h.bin"

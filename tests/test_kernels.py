@@ -73,11 +73,11 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(sigma_squared=float("nan"))
 
-    def test_default_is_median_with_five_scales(self):
+    def test_default_is_median_with_four_scales(self):
         spec = KernelSpec()
         assert spec.is_median_heuristic
         assert spec.mixture_scales == DEFAULT_MIXTURE_SCALES
-        assert len(DEFAULT_MIXTURE_SCALES) == 5
+        assert len(DEFAULT_MIXTURE_SCALES) == 4
 
     def test_bandwidths_scale_the_base(self):
         spec = KernelSpec(sigma_squared=2.0, mixture_scales=(1.0, 2.0))

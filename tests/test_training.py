@@ -1,18 +1,20 @@
+import re
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from xreid import seeds, training
+from xreid import encoder, seeds, training
 from xreid.config import ExperimentConfig
-from xreid.data import THERMAL, BatchSampler, SyntheticSpec, generate
-from xreid.encoder import EncoderShape, embed, init_params
+from xreid.data import THERMAL, BatchSampler, DescriptorSet, SyntheticSpec, generate
+from xreid.encoder import EncoderShape, encode_dataset, forward, init_params
+from xreid.evaluation import evaluate, similarity_stats
 from xreid.training import (
     LOG_COLUMNS,
     TrainingDiverged,
     class_index,
-    encode_dataset,
     run_training,
     write_log,
 )
@@ -93,21 +95,29 @@ def test_empty_cell_refused_before_the_first_batch(monkeypatch):
     assert calls == []
 
 
-def diverge_in_epoch_1(monkeypatch, cfg, train) -> TrainingDiverged:
-    """Run training with a NaN put into the pooled features of every step
+#: what a NaN put into each stage's output in epoch 1 is reported as
+DIVERGENCE = {
+    "forward": "non-finite pooled features at epoch 1",
+    "backward": "non-finite gradient in 'specific_visible.0.w': 1 of 64 entries at epoch 1",
+}
+
+
+def diverge_in_epoch_1(monkeypatch, cfg, train, stage="forward") -> TrainingDiverged:
+    """Run training with a NaN put into the first entry of every step's
+    pooled features (``stage="forward"``) or gradient (``"backward"``)
     after the first epoch; returns the divergence it raises."""
     batches = -(-len(train) // cfg.batch_spec().batch_size)
-    forward, steps = training.forward, []
+    run_stage, steps = getattr(training, stage), []
 
-    def forward_nan_in_epoch_1(*args, **kwargs):
-        out = forward(*args, **kwargs)
+    def nan_in_epoch_1(*args, **kwargs):
+        out = run_stage(*args, **kwargs)
         steps.append(1)
         if len(steps) > batches:
-            out.pooled[0, 0] = np.nan
+            (out.pooled if stage == "forward" else out.buffer).flat[0] = np.nan
         return out
 
-    monkeypatch.setattr(training, "forward", forward_nan_in_epoch_1)
-    with pytest.raises(TrainingDiverged, match="^non-finite pooled features at epoch 1$") as info:
+    monkeypatch.setattr(training, stage, nan_in_epoch_1)
+    with pytest.raises(TrainingDiverged, match=f"^{re.escape(DIVERGENCE[stage])}$") as info:
         run_training(cfg, train)
     return info.value
 
@@ -128,6 +138,17 @@ def test_last_good_is_the_last_full_epoch_bitwise(monkeypatch):
     train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
     one_epoch, _ = run_training(small_config(**{"train.epochs": 1}), train)
     exc = diverge_in_epoch_1(monkeypatch, cfg, train)
+    assert np.array_equal(exc.last_good.buffer, one_epoch.buffer)
+
+
+def test_non_finite_gradient_diverges_with_the_last_full_epoch(monkeypatch):
+    # sgd_step refuses a non-finite gradient before any entry changes; the
+    # loop reports that as a divergence, as it does a non-finite feature
+    cfg = small_config(**{"train.epochs": 2})
+    train, _ = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    one_epoch, _ = run_training(small_config(**{"train.epochs": 1}), train)
+    exc = diverge_in_epoch_1(monkeypatch, cfg, train, "backward")
+    assert exc.epoch == 1
     assert np.array_equal(exc.last_good.buffer, one_epoch.buffer)
 
 
@@ -172,6 +193,39 @@ def test_epoch_stats_are_the_sequential_step_means(monkeypatch, overrides):
     gated = overrides == {"mmd.variant": "margin_id"}
     assert all(np.isnan(s.active_classes) != gated for s in stats)
     assert all(np.isnan(s.mean_class_mmd2) != gated for s in stats)
+
+
+def _run_outputs(cfg, train, test):
+    """A run's outputs as bytes: the parameters and the log but for its
+    seconds, the test split's features, each trial's CMC and mAP, and the
+    centroid similarity stats."""
+    params, stats = run_training(cfg, train)
+    feats = encode_dataset(params, test, features=cfg["eval.features"])
+    query = feats.select(feats.modalities == THERMAL)
+    report = evaluate(query, feats.select(feats.modalities != THERMAL),
+                      rng=seeds.stream(cfg.seed, "gallery-trials"), trials=cfg["eval.trials"])
+    return {
+        "params": params.buffer.tobytes(),
+        "log": [np.array(astuple(s)[:-1]).tobytes() for s in stats],
+        "features": feats.features.tobytes(),
+        "per_trial_cmc": report.per_trial_cmc.tobytes(),
+        "per_trial_map": report.per_trial_map.tobytes(),
+        "similarity": np.array(astuple(similarity_stats(feats))).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda ids: 7 * ids + 1000,
+    lambda ids: np.cumsum(np.random.default_rng(5).integers(1, 50, 100))[ids] - 10**6,
+], ids=["affine", "random-gaps"])
+def test_increasing_relabelling_changes_nothing(relabel):
+    # classes are the sorted identities, and the sampler and the gallery
+    # draws index into them, so a run reads each label's order, never its value
+    cfg = small_config(**{"data.num_identities": 20, "train.epochs": 2})
+    train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
+    assert np.all(np.diff(relabel(np.arange(100))) > 0)
+    mapped = [DescriptorSet(s.descriptors, relabel(s.identities), s.modalities) for s in (train, test)]
+    assert _run_outputs(cfg, *mapped) == _run_outputs(cfg, train, test)
 
 
 def _traced_peak(fn):
@@ -221,10 +275,10 @@ def test_encode_dataset_keeps_one_chunk_alive(monkeypatch):
                        np.random.default_rng(4))
     params = init_params(EncoderShape(descriptor_dim=8, num_classes=800), np.random.default_rng(0))
     chunk = 200
-    _, one_chunk = _traced_peak(
-        lambda: embed(params, test.descriptors[:chunk], test.modalities[:chunk])
-    )
-    monkeypatch.setattr(training, "CHUNK_ROWS", chunk * test.descriptors.shape[1])
+    monkeypatch.setattr(encoder, "CHUNK_ROWS", chunk * test.descriptors.shape[1])
+    head = test.select(np.arange(chunk))
+    head_feats, one_chunk = _traced_peak(lambda: encode_dataset(params, head))
+    one_chunk -= head_feats.features.nbytes
     feats, peak = _traced_peak(lambda: encode_dataset(params, test))
     assert len(test) == 4 * 2 * 60
     assert peak <= feats.features.nbytes + 1.1 * one_chunk
@@ -255,10 +309,11 @@ def test_encode_dataset_bitwise_for_any_chunk(monkeypatch):
     test, params = _default_split_and_params()
     h = test.descriptors.shape[1]
     for features in ("pooled", "bn"):
-        want = embed(params, test.descriptors, test.modalities, features == "bn")
+        tape = forward(params, test.descriptors, test.modalities, train=False)
+        want = tape.bn_features if features == "bn" else tape.pooled
         # 1 sample (1 and 7 rows), 7 samples, the default and the whole split
         for rows in (1, 7, 7 * h, 256, len(test) * h):
-            monkeypatch.setattr(training, "CHUNK_ROWS", rows)
+            monkeypatch.setattr(encoder, "CHUNK_ROWS", rows)
             got = encode_dataset(params, test, features=features)
             assert np.array_equal(got.features, want), (features, rows)
 
@@ -268,9 +323,9 @@ def test_encode_dataset_matches_forward_chunking(monkeypatch):
     cfg = small_config()
     train, test = generate(cfg.synthetic_spec(), seeds.stream(cfg.seed, "data"))
     params, _ = run_training(cfg, train)
-    monkeypatch.setattr(training, "CHUNK_ROWS", 10_000)
+    monkeypatch.setattr(encoder, "CHUNK_ROWS", 10_000)
     whole = encode_dataset(params, test)
-    monkeypatch.setattr(training, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(encoder, "CHUNK_ROWS", 7)
     chunked = encode_dataset(params, test)
     assert np.array_equal(whole.features, chunked.features)
     bn = encode_dataset(params, test, features="bn")
